@@ -23,10 +23,8 @@ from surfcut.oracle import brute_force_cut
 from surfcut.solver import SolveContext
 
 
-def frac(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
+def frac(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def main():

@@ -8,54 +8,19 @@ back into an actual vertex cut by a threshold argument.  All arithmetic on
 cut values is exact rational.
 """
 
-from surfcut.embedding import (
-    Dart,
-    EmbeddedGraph,
-    EmbeddingError,
-    FaceStructure,
-    genus,
-    parse_embedding,
-    trace_faces,
-)
-from surfcut.dual import DualGraph, IntegerChain, build_dual, cut_chain, dual_chain, primal_chain
-from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight, theta, what
-from surfcut.cover import CoverResult, TaggedWalk, shortest_tagged_walks
+from surfcut.embedding import EmbeddedGraph, EmbeddingError, parse_embedding
 from surfcut.balance import BalanceFunction, make_balance
-from surfcut.solver import CutResult, SolveContext, combine_and_minimize, evaluate_chain, recover_cut, solve
-from surfcut.oracle import OracleReport, brute_force_cut, enumerate_closed_walks
+from surfcut.solver import CutResult, SolveContext, solve
+from surfcut.oracle import brute_force_cut
 
 __all__ = [
     "BalanceFunction",
-    "CoverResult",
     "CutResult",
-    "Dart",
-    "DualGraph",
     "EmbeddedGraph",
     "EmbeddingError",
-    "FaceStructure",
-    "IntegerChain",
-    "LoopSystem",
-    "OracleReport",
     "SolveContext",
-    "TaggedWalk",
-    "WeightFunction",
     "brute_force_cut",
-    "build_dual",
-    "build_loop_system",
-    "build_weight",
-    "combine_and_minimize",
-    "cut_chain",
-    "dual_chain",
-    "enumerate_closed_walks",
-    "evaluate_chain",
-    "genus",
     "make_balance",
     "parse_embedding",
-    "primal_chain",
-    "recover_cut",
-    "shortest_tagged_walks",
     "solve",
-    "theta",
-    "trace_faces",
-    "what",
 ]

@@ -27,8 +27,9 @@ class BalanceFunction:
 
     kind is one of quotient, density, expansion, custom.  breakpoints are
     only set for custom kind: (x, y) pairs with x strictly increasing from 0,
-    all x in [0, 1/2].  Past the last breakpoint the value stays constant up
-    to 1/2, and f(x) = f(1 - x) folds the rest of the unit interval.
+    all x in [0, 1/2], not all y zero.  Past the last breakpoint the value
+    stays constant up to 1/2, and f(x) = f(1 - x) folds the rest of the unit
+    interval.  So f > 0 on (0, 1).
     """
 
     kind: str
@@ -61,6 +62,9 @@ class BalanceFunction:
             if prev_slope is not None and slope > prev_slope:
                 raise BalanceError("custom balance must be concave on [0, 1/2]")
             prev_slope = slope
+        # nondecreasing and concave: f > 0 on (0, 1) unless every y is 0
+        if not any(y for _, y in bps):
+            raise BalanceError("custom balance must not be identically zero")
 
     def __call__(self, x: Fraction) -> Fraction:
         if not (0 <= x <= 1):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,28 +19,16 @@ from surfcut.oracle import brute_force_cut
 from surfcut.solver import SolveContext
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    input_path: str
-    f: str = "quotient"
-    root: int = 0
-    oracle: bool = False
-    as_json: bool = False
-    dump_walks_path: str | None = None
+def _frac(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
-def _frac(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
-def parse_args(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     p = argparse.ArgumentParser(
         prog="surfcut",
         description="Exact minimum quotient cuts of multigraphs embedded on orientable surfaces.",
     )
-    p.add_argument("input", help="embedding file (vertices / edge / rot lines)")
+    p.add_argument("input_path", metavar="input", help="embedding file (vertices / edge / rot lines)")
     p.add_argument(
         "--f",
         default="quotient",
@@ -50,19 +37,13 @@ def parse_args(argv: list[str]) -> RunConfig:
     p.add_argument("--root", type=int, default=0, help="root vertex for the weight tree")
     p.add_argument("--oracle", action="store_true", help="cross-check against brute force")
     p.add_argument("--json", action="store_true", dest="as_json", help="print a JSON report")
-    p.add_argument("--dump-walks", metavar="PATH", help="write the tagged walk table to PATH")
-    a = p.parse_args(argv)
-    return RunConfig(
-        input_path=a.input,
-        f=a.f,
-        root=a.root,
-        oracle=a.oracle,
-        as_json=a.as_json,
-        dump_walks_path=a.dump_walks,
+    p.add_argument(
+        "--dump-walks", metavar="PATH", dest="dump_walks_path", help="write the tagged walk table to PATH"
     )
+    return p.parse_args(argv)
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     try:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
         g = parse_embedding(text)

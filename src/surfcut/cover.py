@@ -53,12 +53,7 @@ class CoverResult:
         return bound
 
 
-def shortest_tagged_walks(
-    dual: DualGraph,
-    w: WeightFunction,
-    system: LoopSystem,
-    depth_cap: int | None = None,
-) -> CoverResult:
+def shortest_tagged_walks(dual: DualGraph, w: WeightFunction, system: LoopSystem) -> CoverResult:
     """BFS the covering of the dual from every start vertex and merge.
 
     FIFO expansion in ascending dart order makes the first path recorded for
@@ -67,8 +62,6 @@ def shortest_tagged_walks(
     """
     dg = dual.graph
     m = dg.m
-    if depth_cap is None:
-        depth_cap = m
     g2 = 2 * system.genus
     zero_v = (0,) * g2
 
@@ -88,7 +81,7 @@ def shortest_tagged_walks(
         visited: dict[tuple[int, int, tuple[int, ...]], int] = {(start, 0, zero_v): -1}
         frontier = [(start, 0, zero_v)]
         depth = 0
-        while frontier and depth < depth_cap:
+        while frontier and depth < m:
             nxt = []
             for state in frontier:
                 u, k, v = state
@@ -130,7 +123,7 @@ def shortest_tagged_walks(
 
     return CoverResult(
         walks=best,
-        depth_cap=depth_cap,
+        depth_cap=m,
         k_bound=k_bound,
         v_bounds=v_bounds,
         states_per_start=tuple(states_per_start),

@@ -1,18 +1,17 @@
 """Geometric dual of an embedded graph, and integer chains on darts.
 
 The dual reuses the primal dart indices: dual dart d runs from the face left
-of primal dart d to the face on its right, so the dual of edge i is edge i
-and the correspondence between primal and dual darts is the identity on ids.
-Chains exploit this: a chain assigns an integer to every dart subject to
-antisymmetry under twin, stored as one coefficient per edge (on the even
-dart), and transporting a chain across the duality keeps its coefficients.
+of primal dart d to the face on its right, so the dual of edge i is edge i.
+A chain assigns an integer to every dart subject to antisymmetry under twin,
+stored as one coefficient per edge (on the even dart).  Because the darts
+share ids, a dual chain is the primal chain with the same coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from surfcut.embedding import EmbeddedGraph, EmbeddingError, FaceStructure, trace_faces
+from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class IntegerChain:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Dual of a face structure, with the identity dart correspondence.
+    """Dual of a face structure; dual dart d is primal dart d.
 
     `graph` has one vertex per primal face.  Its rotation is the inverse of
     the primal face permutation: crossing the edges around a face in the
@@ -72,14 +71,6 @@ class DualGraph:
     primal: EmbeddedGraph
     primal_faces: FaceStructure
     graph: EmbeddedGraph
-
-    def d_map(self, d: int) -> int:
-        """Primal dart to dual dart (identity on ids)."""
-        return d
-
-    def d_inv(self, d: int) -> int:
-        """Dual dart to primal dart (identity on ids)."""
-        return d
 
 
 def build_dual(g: EmbeddedGraph, faces: FaceStructure | None = None) -> DualGraph:
@@ -95,20 +86,6 @@ def build_dual(g: EmbeddedGraph, faces: FaceStructure | None = None) -> DualGrap
         n=faces.face_count, tails=tails, heads=heads, rotation=tuple(phi_inv), allow_loops=True
     )
     return DualGraph(primal=g, primal_faces=faces, graph=dual)
-
-
-def dual_chain(dual: DualGraph, c: IntegerChain) -> IntegerChain:
-    """Transport a primal chain to the dual. Coefficients are preserved."""
-    if len(c.coeffs) != dual.primal.m:
-        raise ValueError("chain length does not match the primal graph")
-    return IntegerChain(c.coeffs)
-
-
-def primal_chain(dual: DualGraph, c: IntegerChain) -> IntegerChain:
-    """Transport a dual chain back to the primal. Inverse of dual_chain."""
-    if len(c.coeffs) != dual.graph.m:
-        raise ValueError("chain length does not match the dual graph")
-    return IntegerChain(c.coeffs)
 
 
 def cut_chain(g: EmbeddedGraph, S) -> IntegerChain:

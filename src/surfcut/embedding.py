@@ -17,25 +17,6 @@ class EmbeddingError(ValueError):
     """Invalid rotation-system data or a malformed embedding file."""
 
 
-def twin(d: int) -> int:
-    return d ^ 1
-
-
-def edge_of(d: int) -> int:
-    return d >> 1
-
-
-@dataclass(frozen=True)
-class Dart:
-    """One directed side of an edge."""
-
-    id: int
-    twin: int
-    tail: int
-    head: int
-    edge: int
-
-
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """A connected multigraph with a rotation at every vertex.
@@ -62,13 +43,6 @@ class EmbeddedGraph:
     @property
     def num_darts(self) -> int:
         return len(self.tails)
-
-    def dart(self, d: int) -> Dart:
-        return Dart(id=d, twin=d ^ 1, tail=self.tails[d], head=self.heads[d], edge=d >> 1)
-
-    @cached_property
-    def darts(self) -> tuple[Dart, ...]:
-        return tuple(self.dart(d) for d in range(self.num_darts))
 
     @cached_property
     def out_darts(self) -> tuple[tuple[int, ...], ...]:
@@ -190,7 +164,7 @@ def mirror_image(g: EmbeddedGraph) -> EmbeddedGraph:
     )
 
 
-def parse_embedding(text: str, allow_loops: bool = False) -> EmbeddedGraph:
+def parse_embedding(text: str) -> EmbeddedGraph:
     """Parse an embedding file.
 
     Format, with '#' starting a comment anywhere on a line:
@@ -199,7 +173,8 @@ def parse_embedding(text: str, allow_loops: bool = False) -> EmbeddedGraph:
         edge <u> <v>          (m lines; edge i gets darts 2i: u->v, 2i+1: v->u)
         rot <v>: <d0> <d1> ...  (n lines; darts leaving v in cyclic order)
 
-    Every dart must appear exactly once in the rot lines, under its tail.
+    Every dart must appear exactly once in the rot lines, under its tail,
+    and a connected graph needs n <= m + 1.
     """
     lines = []
     for raw in text.splitlines():
@@ -237,8 +212,10 @@ def parse_embedding(text: str, allow_loops: bool = False) -> EmbeddedGraph:
         i += 1
     if not tails:
         raise EmbeddingError("no edges")
-
     nd = len(tails)
+    if n > nd // 2 + 1:
+        raise EmbeddingError(f"{n} vertices cannot be connected by {nd // 2} edges")
+
     rotation = [-1] * nd
     placed: set[int] = set()
     seen_vertices = set()
@@ -268,15 +245,13 @@ def parse_embedding(text: str, allow_loops: bool = False) -> EmbeddedGraph:
             placed.add(d)
         for j, d in enumerate(ds):
             rotation[d] = ds[(j + 1) % len(ds)]
-    if seen_vertices != set(range(n)):
+    if len(seen_vertices) != n:
         missing = sorted(set(range(n)) - seen_vertices)
         raise EmbeddingError(f"missing rot lines for vertices {missing}")
     if -1 in rotation:
         raise EmbeddingError(f"dart {rotation.index(-1)} never placed in a rotation")
 
-    return EmbeddedGraph(
-        n=n, tails=tuple(tails), heads=tuple(heads), rotation=tuple(rotation), allow_loops=allow_loops
-    )
+    return EmbeddedGraph(n=n, tails=tuple(tails), heads=tuple(heads), rotation=tuple(rotation))
 
 
 def format_embedding(g: EmbeddedGraph, comment: str | None = None) -> str:

@@ -1,11 +1,12 @@
-"""Balance weights and homology coordinates for dual chains.
+"""Balance weights and homology coordinates for chains.
 
 Both structures hang off the same primal BFS tree.  The weight of a tree
 dart parent->child is the size of the child's subtree, so that the weight of
 any cut chain with the root inside equals the size of the far side.  The
 loops are the fundamental cycles of the 2g edges left over after growing a
 spanning cotree in the dual, and the theta map counts signed crossings of a
-dual chain with each loop.
+chain with each loop.  Primal and dual darts share ids, so both maps read a
+dual chain directly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from surfcut.dual import DualGraph, IntegerChain, primal_chain
+from surfcut.dual import DualGraph, IntegerChain
 from surfcut.embedding import EmbeddedGraph, EmbeddingError, genus
 
 
@@ -106,6 +107,7 @@ class LoopSystem:
         return row if d % 2 == 0 else tuple(-x for x in row)
 
     def theta(self, c: IntegerChain) -> tuple[int, ...]:
+        """Crossing vector of a chain with each loop of the system."""
         out = [0] * (2 * self.genus)
         for i, a in enumerate(c.coeffs):
             if a:
@@ -113,16 +115,6 @@ class LoopSystem:
                 for j in range(len(out)):
                     out[j] += a * row[j]
         return tuple(out)
-
-
-def theta(c: IntegerChain, system: LoopSystem) -> tuple[int, ...]:
-    """Crossing vector of a dual chain with each loop of the system."""
-    return system.theta(c)
-
-
-def what(c: IntegerChain, dual: DualGraph, w: WeightFunction) -> int:
-    """Weight of a dual chain, pulled back through the duality."""
-    return w.evaluate(primal_chain(dual, c))
 
 
 def _tree_walk(parent_dart, tails, a: int, b: int) -> list[int]:

@@ -25,7 +25,7 @@ class OracleReport:
 
     best: CutResult
     minimal_witness: CutResult | None
-    all_values: dict[tuple[int, ...], Fraction | float]
+    all_values: dict[tuple[int, ...], Fraction]
 
 
 def _side_connected(g: EmbeddedGraph, side: set[int]) -> bool:
@@ -48,7 +48,7 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
         raise ValueError(f"brute force capped at {cap} vertices, graph has {g.n}")
     n = g.n
     best: CutResult | None = None
-    all_values: dict[tuple[int, ...], Fraction | float] = {}
+    all_values: dict[tuple[int, ...], Fraction] = {}
     results = []
     for mask in range(2 ** (n - 1) - 1):
         S = [0] + [v for v in range(1, n) if mask >> (v - 1) & 1]

@@ -10,18 +10,15 @@ score.  The two values must agree at the optimum, and the solver checks that.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, shortest_tagged_walks
-from surfcut.dual import DualGraph, IntegerChain, build_dual, cut_chain, primal_chain
+from surfcut.dual import DualGraph, IntegerChain, build_dual
 from surfcut.embedding import EmbeddedGraph, FaceStructure, genus, trace_faces
-from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight, what
-
-INF = math.inf
+from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight
 
 
 class SolverError(RuntimeError):
@@ -41,7 +38,7 @@ class CutResult:
     cut_edges: tuple[int, ...]
     cut_size: int
     balance: Fraction
-    value: Fraction | float
+    value: Fraction
     expansion: Fraction
 
     @property
@@ -64,30 +61,14 @@ def score_cut(g: EmbeddedGraph, S, f: BalanceFunction) -> CutResult:
         e for e in range(g.m) if inside[g.tails[2 * e]] != inside[g.heads[2 * e]]
     )
     small = min(k, g.n - k)
-    fx = f(Fraction(k, g.n))
-    value = Fraction(len(edges)) / fx if fx > 0 else INF
     return CutResult(
         S=tuple(v for v in range(g.n) if inside[v]),
         cut_edges=edges,
         cut_size=len(edges),
         balance=Fraction(small, g.n),
-        value=value,
+        value=Fraction(len(edges)) / f(Fraction(k, g.n)),
         expansion=Fraction(len(edges), small),
     )
-
-
-def evaluate_chain(
-    sigma: IntegerChain, dual: DualGraph, w: WeightFunction, f: BalanceFunction
-) -> Fraction | float:
-    """Score a dual chain like the cut it stands in for: |sigma| / f(|k|/n)."""
-    n = dual.primal.n
-    k = abs(what(sigma, dual, w))
-    if k > n:
-        return INF
-    fx = f(Fraction(k, n))
-    if fx == 0:
-        return INF
-    return Fraction(sigma.size) / fx
 
 
 @dataclass(frozen=True)
@@ -96,7 +77,7 @@ class CombineResult:
 
     sigma: IntegerChain
     k: int
-    value: Fraction | float
+    value: Fraction
     walks_used: tuple[tuple[int, tuple[int, ...]], ...]
     candidates: int
 
@@ -147,28 +128,19 @@ def combine_and_minimize(
         return fcache[k]
 
     best: tuple | None = None
-    best_result: CombineResult | None = None
     candidates = 0
     chosen: list[int] = []
 
     def consider(k: int):
-        nonlocal best, best_result, candidates
+        nonlocal best, candidates
         candidates += 1
         chain = entries[chosen[0]][2]
         for idx in chosen[1:]:
             chain = chain + entries[idx][2]
-        fx = fval(abs(k))
-        value = Fraction(chain.size) / fx if fx > 0 else INF
+        value = Fraction(chain.size) / fval(abs(k))
         key = (value, chain.size, chain.coeffs)
-        if best is None or key < best:
-            best = key
-            best_result = CombineResult(
-                sigma=chain,
-                k=k,
-                value=value,
-                walks_used=tuple(entries[idx][:2] for idx in chosen),
-                candidates=0,
-            )
+        if best is None or key < best[0]:
+            best = (key, chain, k, tuple(entries[idx][:2] for idx in chosen))
 
     def fill(gids: list[int], pos: int, i0: int, acc_k: int, acc_mass: int):
         """Pick one entry per chosen group slot, nondecreasing within a group."""
@@ -214,13 +186,14 @@ def combine_and_minimize(
 
     scan(0, zero_v, 0, slots)
 
-    if best_result is None:
+    if best is None:
         raise SolverError("no null-homologous combination found; walk table is incomplete")
+    (value, _, _), sigma, k, walks_used = best
     return CombineResult(
-        sigma=best_result.sigma,
-        k=best_result.k,
-        value=best_result.value,
-        walks_used=best_result.walks_used,
+        sigma=sigma,
+        k=k,
+        value=value,
+        walks_used=walks_used,
         candidates=candidates,
     )
 
@@ -267,7 +240,7 @@ class SolveDetails:
 
     result: CutResult
     sigma: IntegerChain
-    sigma_value: Fraction | float
+    sigma_value: Fraction
     walks_used: tuple
     candidates: int
     genus: int
@@ -313,7 +286,7 @@ class SolveContext:
         comb = combine_and_minimize(self.cover, self.loops, f, self.g.n, self.g.m)
         if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):
             raise SolverError("minimizer returned a chain with nonzero crossings")
-        cut = recover_cut(self.g, primal_chain(self.dual, comb.sigma), f)
+        cut = recover_cut(self.g, comb.sigma, f)
         if cut.value > comb.value:
             raise SolverError("recovered cut scores worse than its chain")
         if cut.value < comb.value:

@@ -17,7 +17,6 @@ from surfcut.balance import density, expansion, parse_custom, quotient
 from surfcut.construct import complete_bipartite_edges, complete_edges, random_planar
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import trace_faces
-from surfcut.homology import theta
 from surfcut.oracle import brute_force_cut, enumerate_closed_walks, min_tag_table
 from surfcut.solver import SolveContext
 
@@ -127,8 +126,8 @@ def test_criterion_5_crossing_form(corpus_contexts):
         zero = (0,) * (2 * system.genus)
         for walk in trace_faces(ctx.dual.graph).facial_walks:
             c = IntegerChain.of_walk(ctx.g.m, walk)
-            assert theta(c, system) == zero, name
-        rows = [theta(c, system) for c in system.companions]
+            assert system.theta(c) == zero, name
+        rows = [system.theta(c) for c in system.companions]
         for j, row in enumerate(rows):
             assert abs(row[j]) == 1, name
             assert all(x == 0 for i, x in enumerate(row) if i != j), name

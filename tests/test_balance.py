@@ -105,6 +105,14 @@ def test_validation_errors():
         BalanceFunction(kind="entropy")
 
 
+def test_all_zero_profile_rejected():
+    # concave and nondecreasing from f(0) = 0: a zero in (0, 1/2] is a zero everywhere
+    for text in ("0 0\n", "0 0\n1/4 0\n1/2 0\n"):
+        with pytest.raises(BalanceError, match="identically zero"):
+            parse_custom(text)
+    assert parse_custom("0 0\n1/2 1/100\n")(Fraction(1, 100)) > 0
+
+
 def test_make_balance(tmp_path):
     assert make_balance("quotient").kind == "quotient"
     assert make_balance("density").kind == "density"

@@ -101,6 +101,15 @@ def test_malformed_embedding_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_all_zero_custom_profile_exits_1(tmp_path, capsys):
+    p = tmp_path / "zero.txt"
+    p.write_text("0 0\n", encoding="utf-8")
+    assert run_cli(str(CORPUS_DIR / "k4.emb"), "--f", f"custom:{p}") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_oracle_disagreement_exits_3(monkeypatch, capsys):
     real = cli.brute_force_cut
 

@@ -1,4 +1,4 @@
-from surfcut.construct import banana_edges, complete_edges, cycle_edges, find_embedding
+from surfcut.construct import complete_edges, cycle_edges, find_embedding
 from surfcut.cover import dump_walks, shortest_tagged_walks
 from surfcut.dual import build_dual
 from surfcut.homology import build_loop_system, build_weight
@@ -69,15 +69,6 @@ def test_state_counts_within_bound():
     cover = shortest_tagged_walks(dual, w, system)
     assert len(cover.states_per_start) == dual.graph.n
     assert cover.max_states <= cover.state_space_bound
-
-
-def test_depth_cap_controls_reach():
-    g = find_embedding(2, banana_edges(3), 1)
-    dual, w, system = pipeline(g)
-    shallow = shortest_tagged_walks(dual, w, system, depth_cap=1)
-    full = shortest_tagged_walks(dual, w, system)
-    assert set(shallow.walks) <= set(full.walks)
-    assert all(walk.length <= 1 for walk in shallow.walks.values())
 
 
 def test_shortest_walk_beats_any_longer_witness():

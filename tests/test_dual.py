@@ -9,7 +9,7 @@ from surfcut.construct import (
     find_embedding,
     random_planar,
 )
-from surfcut.dual import IntegerChain, build_dual, cut_chain, dual_chain, primal_chain
+from surfcut.dual import IntegerChain, build_dual, cut_chain
 from surfcut.embedding import genus, trace_faces
 
 
@@ -51,7 +51,7 @@ def test_single_vertex_cut_is_negative_face(g):
     dual = build_dual(g)
     dfaces, face_vertex = dual_face_vertex(g, dual)
     for v in range(g.n):
-        c = dual_chain(dual, cut_chain(g, {v}))
+        c = cut_chain(g, {v})
         k = next(k for k, vv in face_vertex.items() if vv == v)
         face = IntegerChain.of_walk(dual.graph.m, dfaces.facial_walks[k])
         assert c.coeffs == (-face).coeffs
@@ -65,14 +65,6 @@ def test_double_dual_reverses_darts(g):
     for d in range(g.num_darts):
         assert face_vertex[dd.graph.tails[d]] == g.heads[d]
         assert face_vertex[dd.graph.heads[d]] == g.tails[d]
-
-
-def test_chain_transport_round_trip():
-    g = find_embedding(4, complete_edges(4), 0)
-    dual = build_dual(g)
-    c = IntegerChain((1, -2, 0, 3, 0, -1))
-    assert primal_chain(dual, dual_chain(dual, c)) == c
-    assert dual_chain(dual, c).size == c.size
 
 
 def test_chain_algebra():

@@ -38,11 +38,11 @@ def test_parse_basic():
 
 
 def test_dart_view():
+    # dart 5 is the odd dart of edge 2 (0 -> 3), so it runs 3 -> 0
     g = parse_embedding(K4_PLANAR_TEXT)
-    d = g.dart(5)
-    assert d.id == 5 and d.twin == 4 and d.edge == 2
-    assert d.tail == 3 and d.head == 0
-    assert g.darts[5] == d
+    assert g.tails[5] == 3 and g.heads[5] == 0
+    assert (g.tails[5 ^ 1], g.heads[5 ^ 1]) == (g.heads[5], g.tails[5])
+    assert 5 in g.out_darts[3]
 
 
 def test_k4_planar_faces_and_genus():
@@ -102,6 +102,15 @@ def test_parse_rejects_missing_rot():
     text = "vertices 3\nedge 0 1\nedge 1 2\nrot 0: 0\nrot 1: 1 2\n"
     with pytest.raises(EmbeddingError, match="missing rot"):
         parse_embedding(text)
+
+
+def test_parse_rejects_more_vertices_than_edges_can_connect():
+    text = "vertices 3\nedge 0 1\nrot 0: 0\nrot 1: 1\n"
+    with pytest.raises(EmbeddingError, match="3 vertices cannot be connected by 1 edges"):
+        parse_embedding(text)
+    # the header is checked against the edge count before anything is sized by it
+    with pytest.raises(EmbeddingError, match="1000000000 vertices"):
+        parse_embedding("vertices 1000000000\nedge 0 1\nrot 0: 0\nrot 1: 1\n")
 
 
 def test_parse_rejects_wrong_tail():

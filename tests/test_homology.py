@@ -12,9 +12,9 @@ from surfcut.construct import (
     path_edges,
     random_planar,
 )
-from surfcut.dual import IntegerChain, build_dual, cut_chain, dual_chain
-from surfcut.embedding import genus, trace_faces
-from surfcut.homology import build_loop_system, build_weight, theta, what
+from surfcut.dual import IntegerChain, build_dual, cut_chain
+from surfcut.embedding import trace_faces
+from surfcut.homology import build_loop_system, build_weight
 
 TORUS_K5 = find_embedding(5, complete_edges(5), 1)
 GENUS2 = find_embedding(2, banana_edges(5), 2)
@@ -93,7 +93,7 @@ def test_theta_vanishes_on_dual_faces(g):
     system = build_loop_system(g, dual)
     zero = (0,) * (2 * system.genus)
     for walk in trace_faces(dual.graph).facial_walks:
-        assert theta(IntegerChain.of_walk(g.m, walk), system) == zero
+        assert system.theta(IntegerChain.of_walk(g.m, walk)) == zero
 
 
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2], ids=["k5", "banana25"])
@@ -104,7 +104,7 @@ def test_theta_vanishes_on_cuts(g):
     rng = random.Random(3)
     for _ in range(40):
         S = set(rng.sample(range(g.n), rng.randrange(1, g.n)))
-        assert theta(dual_chain(dual, cut_chain(g, S)), system) == zero
+        assert system.theta(cut_chain(g, S)) == zero
 
 
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2, grid_torus(3, 3)], ids=["k5", "banana25", "grid33"])
@@ -112,7 +112,7 @@ def test_companions_cross_their_own_loop_once(g):
     dual = build_dual(g)
     system = build_loop_system(g, dual)
     for j, comp in enumerate(system.companions):
-        t = theta(comp, system)
+        t = system.theta(comp)
         assert abs(t[j]) == 1
         assert all(x == 0 for i, x in enumerate(t) if i != j)
 
@@ -126,18 +126,10 @@ def test_theta_dart_antisymmetry():
         assert tuple(-x for x in plus) == minus
 
 
-def test_what_matches_primal_evaluation():
-    g = TORUS_K5
-    dual = build_dual(g)
-    w = build_weight(g, 0)
-    c = cut_chain(g, {0, 3})
-    assert what(dual_chain(dual, c), dual, w) == w.evaluate(c)
-
-
 def test_planar_loop_system_is_empty():
     g = find_embedding(4, complete_edges(4), 0)
     dual = build_dual(g)
     system = build_loop_system(g, dual)
     assert system.genus == 0
     assert system.loops == ()
-    assert theta(cut_chain(g, {0}), system) == ()
+    assert system.theta(cut_chain(g, {0})) == ()

@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from surfcut.balance import density, expansion, parse_custom, quotient
+from surfcut.balance import density, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders
-from surfcut.dual import IntegerChain, cut_chain, dual_chain
+from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import mirror_image
 from surfcut.solver import (
-    INF,
     SolveContext,
     SolverError,
     combine_and_minimize,
-    evaluate_chain,
     recover_cut,
     score_cut,
     solve,
@@ -73,20 +71,15 @@ def test_score_cut_rejects_trivial_sides(corpus_graphs):
 
 @pytest.mark.parametrize("name", ["k4", "c5", "k5_torus", "c4_doubled_g2"])
 def test_evaluate_chain_matches_cut_score(name, corpus_graphs, corpus_contexts):
+    # a cut chain scores |chain| / f(|weight| / n), the quotient of its cut
     g = corpus_graphs[name]
-    ctx = corpus_contexts[name]
+    w = corpus_contexts[name].weight
     f = quotient()
     rng = random.Random(7)
     for _ in range(20):
         S = rng.sample(range(g.n), rng.randrange(1, g.n))
-        sigma = dual_chain(ctx.dual, cut_chain(g, S))
-        assert evaluate_chain(sigma, ctx.dual, ctx.weight, f) == score_cut(g, S, f).value
-
-
-def test_evaluate_chain_zero_weight_is_infinite(corpus_contexts):
-    ctx = corpus_contexts["c4"]
-    sigma = IntegerChain.zero(ctx.g.m)
-    assert evaluate_chain(sigma, ctx.dual, ctx.weight, quotient()) == INF
+        c = cut_chain(g, S)
+        assert Fraction(c.size) / f(Fraction(abs(w.evaluate(c)), g.n)) == score_cut(g, S, f).value
 
 
 def test_combine_on_single_edge(corpus_contexts):
