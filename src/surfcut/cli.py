@@ -1,7 +1,8 @@
 """Command line front end: solve one embedding file, optionally cross-check.
 
 Exit codes: 0 on success (and oracle agreement), 3 when the oracle check was
-requested and disagrees, 1 for any input problem.
+requested and disagrees, 1 for any input problem, 4 when one of the solver's
+self-checks fails (a SolverError).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from surfcut.balance import BalanceError, make_balance
 from surfcut.cover import dump_walks
 from surfcut.embedding import EmbeddingError, parse_embedding
 from surfcut.oracle import brute_force_cut
-from surfcut.solver import SolveContext
+from surfcut.solver import SolveContext, SolverError
 
 
 def _frac(x: Fraction) -> str:
@@ -58,6 +59,9 @@ def run(cfg: argparse.Namespace) -> int:
     except (EmbeddingError, BalanceError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except SolverError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
     if cfg.dump_walks_path:
         try:

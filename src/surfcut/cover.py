@@ -1,11 +1,20 @@
 """Shortest closed walks in the dual, indexed by weight and homology tag.
 
-For every start vertex a BFS runs over states (vertex, accumulated weight,
-accumulated crossing vector), the fibers of a covering of the dual.  A state
-equal to the start describes a closed walk; per tag (k, v) the overall
-shortest walk is kept, ties going to the lexicographically smallest dart
-sequence.  Walk length is capped at the edge count m, which is enough for
-every chain the minimizer may need.
+A BFS runs over states (face, accumulated weight k, accumulated crossing
+vector v), the fibers of a covering of the dual.  A state back at its start
+face describes a closed walk; per tag (k, v) the table keeps the shortest
+closed walk, ties going to the lexicographically smallest dart sequence.
+Walk length is capped at the edge count m, which is enough for every chain
+the minimizer may need.
+
+Walks of length at most m keep k and v inside a box known before the search,
+so a state is one int in mixed radix (digits: face, k + K, v_j + V_j) and a
+dart moves every state by the same precomputed int.  One BFS runs per start
+dart d0, using only darts >= d0: every closed walk has a rotation starting
+at its smallest dart, so no class is missed.  The minimum-face rule (Johnson
+1975: start at the smallest face and stay on faces >= it) would prune more,
+but it finds a different member of a tie than the lexicographic minimum and
+so changes the stored dart sequences.
 """
 
 from __future__ import annotations
@@ -32,12 +41,18 @@ class TaggedWalk:
 
 @dataclass(frozen=True)
 class CoverResult:
-    """All per-tag shortest closed walks plus search accounting."""
+    """All per-tag shortest closed walks plus search accounting.
+
+    states_per_start has one entry per start dart: the states its run
+    visited.  face_count is the number of dual vertices, one axis of the
+    state space that bounds every run.
+    """
 
     walks: dict[tuple[int, tuple[int, ...]], TaggedWalk]
     depth_cap: int
     k_bound: int
     v_bounds: tuple[int, ...]
+    face_count: int
     states_per_start: tuple[int, ...]
 
     @property
@@ -47,85 +62,105 @@ class CoverResult:
     @property
     def state_space_bound(self) -> int:
         """Size of the covering state space V' x [-K..K] x prod [-Vj..Vj]."""
-        bound = len(self.states_per_start) * (2 * self.k_bound + 1)
+        bound = self.face_count * (2 * self.k_bound + 1)
         for vb in self.v_bounds:
             bound *= 2 * vb + 1
         return bound
 
 
 def shortest_tagged_walks(dual: DualGraph, w: WeightFunction, system: LoopSystem) -> CoverResult:
-    """BFS the covering of the dual from every start vertex and merge.
+    """BFS the covering of the dual once per start dart and merge.
 
-    FIFO expansion in ascending dart order makes the first path recorded for
-    a state the lexicographically smallest among shortest, so the result is
-    independent of dict iteration accidents.
+    The stored walk of a tag is the lexicographically smallest of its
+    shortest closed walks.  That set is closed under rotation, so its
+    smallest member starts with its own smallest dart d0 and uses no dart
+    below it.  The run from d0 expands darts >= d0 in ascending order with a
+    FIFO frontier, so the first path recorded for a state is the
+    lexicographically smallest shortest one, and the run finds that walk.
     """
     dg = dual.graph
     m = dg.m
-    g2 = 2 * system.genus
-    zero_v = (0,) * g2
-
-    heads = dg.heads
-    step = []
-    for d in range(dg.num_darts):
-        row = system.theta_dart(d)
-        step.append((heads[d], w.dart_value(d), row, any(row)))
-    out_darts = dg.out_darts
+    faces = dg.n
+    tails = dg.tails
+    nd = dg.num_darts
+    weights = [w.dart_value(d) for d in range(nd)]
+    thetas = [system.theta_dart(d) for d in range(nd)]
 
     k_bound = m * dual.primal.n
     v_bounds = tuple(m * lc.size for lc in system.loop_chains)
+    # every walk has at most m darts, so these keep each coordinate in its box;
+    # an int state whose coordinate escaped would silently alias another state
+    if max(map(abs, weights)) * m > k_bound or any(
+        max(abs(row[j]) for row in thetas) * m > vb for j, vb in enumerate(v_bounds)
+    ):
+        raise AssertionError("covering state escaped its analytic bounds")
 
-    best: dict[tuple[int, tuple[int, ...]], TaggedWalk] = {}
+    sizes = (2 * k_bound + 1, *(2 * vb + 1 for vb in v_bounds))
+    radix = [faces]
+    for size in sizes[:-1]:
+        radix.append(radix[-1] * size)
+    offset = sum(r * b for r, b in zip(radix, (k_bound, *v_bounds)))
+    step = [
+        dg.heads[d] - tails[d] + sum(r * x for r, x in zip(radix, (weights[d], *thetas[d])))
+        for d in range(nd)
+    ]
+    # moves[u]: (step, dart) for the darts leaving u that the current run may
+    # use, ascending; each run drops its start dart when it is done
+    moves = [[(step[d], d) for d in ds] for ds in dg.out_darts]
+
+    best: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {(0, (0,) * len(v_bounds)): ()}
     states_per_start = []
-    for start in range(dg.n):
-        visited: dict[tuple[int, int, tuple[int, ...]], int] = {(start, 0, zero_v): -1}
-        frontier = [(start, 0, zero_v)]
-        depth = 0
-        while frontier and depth < m:
-            nxt = []
-            for state in frontier:
-                u, k, v = state
-                for d in out_darts[u]:
-                    head, dk, row, crosses = step[d]
-                    nv = tuple(a + b for a, b in zip(v, row)) if crosses else v
-                    ns = (head, k + dk, nv)
-                    if ns not in visited:
-                        visited[ns] = d
-                        nxt.append(ns)
-            frontier = nxt
-            depth += 1
+    for d0 in range(nd):
+        t0 = tails[d0]
+        origin = t0 + offset
+        visited = {origin: -1}
+        if step[d0]:
+            frontier = [origin + step[d0]]
+            visited[frontier[0]] = d0
+            depth = 1
+            while frontier and depth < m:
+                nxt = []
+                for s in frontier:
+                    for st, d in moves[s % faces]:
+                        ns = s + st
+                        if ns not in visited:
+                            visited[ns] = d
+                            nxt.append(ns)
+                frontier = nxt
+                depth += 1
+        moves[t0].pop(0)
         states_per_start.append(len(visited))
 
-        for state, last in visited.items():
-            if state[0] != start:
+        for s, last in visited.items():
+            if last == -1 or s % faces != t0:
                 continue
-            if abs(state[1]) > k_bound or any(abs(x) > vb for x, vb in zip(state[2], v_bounds)):
-                raise AssertionError("covering state escaped its analytic bounds")
             darts = []
-            s = state
-            d = last
+            x, d = s, last
             while d != -1:
                 darts.append(d)
-                head, dk, row, _ = step[d]
-                s = (dg.tails[d], s[1] - dk, tuple(a - b for a, b in zip(s[2], row)))
-                d = visited[s]
-            darts.reverse()
-            key = (state[1], state[2])
-            cand = TaggedWalk(
-                darts=tuple(darts),
-                k=state[1],
-                v=state[2],
-                chain=IntegerChain.of_walk(m, tuple(darts)),
-            )
+                x -= step[d]
+                d = visited[x]
+            darts = tuple(reversed(darts))
+            q = s // faces
+            coords = []
+            for size, bound in zip(sizes, (k_bound, *v_bounds)):
+                q, r = divmod(q, size)
+                coords.append(r - bound)
+            key = (coords[0], tuple(coords[1:]))
             cur = best.get(key)
-            if cur is None or (cand.length, cand.darts) < (cur.length, cur.darts):
-                best[key] = cand
+            if cur is None or (len(darts), darts) < (len(cur), cur):
+                best[key] = darts
 
+    walks = {
+        key: TaggedWalk(darts=darts, k=key[0], v=key[1], chain=IntegerChain.of_walk(m, darts))
+        for key, darts in sorted(best.items())
+    }
     return CoverResult(
-        walks=best,
+        walks=walks,
         depth_cap=m,
         k_bound=k_bound,
         v_bounds=v_bounds,
+        face_count=faces,
         states_per_start=tuple(states_per_start),
     )
 

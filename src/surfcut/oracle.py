@@ -72,11 +72,8 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
 def _canonical_class(seq: tuple[int, ...]) -> tuple[int, ...]:
     """Smallest representative of a closed walk modulo rotation and reversal."""
     rev = tuple(d ^ 1 for d in reversed(seq))
-    forms = []
-    for s in (seq, rev):
-        for i in range(len(s)):
-            forms.append(s[i:] + s[:i])
-    return min(forms)
+    lo = min(min(seq), min(rev))
+    return min(s[i:] + s[:i] for s in (seq, rev) for i, d in enumerate(s) if d == lo)
 
 
 def enumerate_closed_walks(
@@ -95,28 +92,32 @@ def enumerate_closed_walks(
     dg = dual.graph
     classes: set[tuple[int, ...]] = set()
 
-    def go(start: int, current: int, seq: list[int]):
-        if seq and current == start:
+    def go(start: int, current: int, seq: list[int], moves: list[tuple[int, ...]]):
+        if current == start:
             classes.add(_canonical_class(tuple(seq)))
         if len(seq) == max_len:
             return
-        for d in dg.out_darts[current]:
+        for d in moves[current]:
             seq.append(d)
-            go(start, dg.heads[d], seq)
+            go(start, dg.heads[d], seq, moves)
             seq.pop()
 
-    for start in range(dg.n):
-        go(start, start, [])
+    # every class has a rotation that starts at its smallest dart d0 and so
+    # never uses a dart below d0: one search per d0 over darts >= d0
+    for d0 in range(dg.num_darts if max_len > 0 else 0):
+        moves = [tuple(d for d in ds if d >= d0) for ds in dg.out_darts]
+        go(dg.tails[d0], dg.heads[d0], [d0], moves)
 
+    weights = [w.dart_value(d) for d in range(dg.num_darts)]
+    thetas = [system.theta_dart(d) for d in range(dg.num_darts)]
     walks = [TaggedWalk(darts=(), k=0, v=(0,) * (2 * system.genus), chain=IntegerChain.zero(dg.m))]
     for seq in sorted(classes, key=lambda s: (len(s), s)):
-        chain = IntegerChain.of_walk(dg.m, seq)
         walks.append(
             TaggedWalk(
                 darts=seq,
-                k=sum(w.dart_value(d) for d in seq),
-                v=tuple(sum(system.theta_dart(d)[j] for d in seq) for j in range(2 * system.genus)),
-                chain=chain,
+                k=sum(weights[d] for d in seq),
+                v=tuple(map(sum, zip(*(thetas[d] for d in seq)))),
+                chain=IntegerChain.of_walk(dg.m, seq),
             )
         )
     return walks

@@ -6,7 +6,7 @@ import pytest
 
 from surfcut import cli
 from surfcut.oracle import OracleReport
-from surfcut.solver import CutResult
+from surfcut.solver import CutResult, SolveContext, SolverError
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -128,3 +128,14 @@ def test_oracle_disagreement_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "brute_force_cut", skewed)
     assert run_cli(str(CORPUS_DIR / "c4.emb"), "--oracle") == 3
     assert "agreement: DISAGREE" in capsys.readouterr().out
+
+
+def test_solver_error_exits_4(monkeypatch, capsys):
+    def broken(self, f):
+        raise SolverError("recovered cut scores worse than its chain")
+
+    monkeypatch.setattr(SolveContext, "solve_detailed", broken)
+    assert run_cli(str(CORPUS_DIR / "c4.emb"), "--json") == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: recovered cut scores worse than its chain\n"

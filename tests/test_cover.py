@@ -1,7 +1,12 @@
+import dataclasses
+
+import pytest
+
 from surfcut.construct import complete_edges, cycle_edges, find_embedding
 from surfcut.cover import dump_walks, shortest_tagged_walks
 from surfcut.dual import build_dual
 from surfcut.homology import build_loop_system, build_weight
+from surfcut.oracle import enumerate_closed_walks
 
 
 def pipeline(g, root=0):
@@ -67,8 +72,20 @@ def test_state_counts_within_bound():
     g = find_embedding(6, cycle_edges(6), 0)
     dual, w, system = pipeline(g)
     cover = shortest_tagged_walks(dual, w, system)
-    assert len(cover.states_per_start) == dual.graph.n
-    assert cover.max_states <= cover.state_space_bound
+    # one BFS run per start dart of the dual; the bound counts the dual's faces
+    assert len(cover.states_per_start) == dual.graph.num_darts
+    assert cover.face_count == dual.graph.n
+    assert all(1 <= s <= cover.state_space_bound for s in cover.states_per_start)
+
+
+def test_weights_outside_the_state_box_are_rejected():
+    # an int state whose weight coordinate left its box would alias another
+    # state, so the search refuses weights that a length-m walk could push out
+    g = find_embedding(2, [(0, 1)], 0)
+    dual, w, system = pipeline(g)
+    heavy = dataclasses.replace(w, values=(g.m * g.n + 1,))
+    with pytest.raises(AssertionError, match="escaped its analytic bounds"):
+        shortest_tagged_walks(dual, heavy, system)
 
 
 def test_shortest_walk_beats_any_longer_witness():
@@ -81,3 +98,27 @@ def test_shortest_walk_beats_any_longer_witness():
         if u == x:
             key = (w.dart_value(d), system.theta_dart(d))
             assert key in cover.walks and cover.walks[key].length <= 1
+
+
+def test_ties_go_to_the_smallest_dart_sequence(corpus_contexts):
+    # every rotation of a closed walk, and of its reverse (whose tag is
+    # negated), is a closed walk; the table must keep the smallest
+    # (length, darts) of each tag among all of them
+    checked = 0
+    for name, ctx in corpus_contexts.items():
+        if ctx.faces.face_count > 4:
+            continue
+        smallest = {}
+        for walk in enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=5):
+            rev = tuple(d ^ 1 for d in reversed(walk.darts))
+            neg = (-walk.k, tuple(-x for x in walk.v))
+            for seq, tag in ((walk.darts, (walk.k, walk.v)), (rev, neg)):
+                for i in range(max(len(seq), 1)):
+                    form = (len(seq), seq[i:] + seq[:i])
+                    if tag not in smallest or form < smallest[tag]:
+                        smallest[tag] = form
+        for key, walk in ctx.cover.walks.items():
+            if walk.length <= 5:
+                assert (walk.length, walk.darts) == smallest[key], (name, key)
+        checked += 1
+    assert checked >= 10

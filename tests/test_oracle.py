@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -96,3 +97,20 @@ def test_length_cap(corpus_contexts):
     ctx = corpus_contexts["c3"]
     with pytest.raises(ValueError, match="capped"):
         enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=9)
+
+
+@pytest.mark.parametrize("name", ["c3", "c4", "k2", "digon", "theta", "theta_torus", "k4"])
+def test_walk_classes_match_plain_enumeration(corpus_contexts, name):
+    # every closed dart sequence up to length 4, reduced to its class, must
+    # be exactly the set of classes the enumerator returns
+    ctx = corpus_contexts[name]
+    dg = ctx.dual.graph
+    expected = set()
+    for length in range(1, 5):
+        for seq in itertools.product(range(dg.num_darts), repeat=length):
+            if all(dg.heads[a] == dg.tails[b] for a, b in zip(seq, seq[1:] + seq[:1])):
+                rev = tuple(d ^ 1 for d in reversed(seq))
+                expected.add(min(s[i:] + s[:i] for s in (seq, rev) for i in range(length)))
+    walks = enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=4)
+    assert walks[0].darts == ()
+    assert [w.darts for w in walks[1:]] == sorted(expected, key=lambda s: (len(s), s))
