@@ -35,20 +35,18 @@ def _out_darts(n: int, edges) -> list[list[int]]:
     return out
 
 
-def find_embedding(
-    n: int,
-    edges: list[tuple[int, int]],
-    target_genus: int,
-    seed: int = 0,
-    tries: int = 200_000,
-    exhaustive_cap: int = 300_000,
-) -> EmbeddedGraph:
+EXHAUSTIVE_CAP = 300_000
+SAMPLE_TRIES = 200_000
+SAMPLE_SEED = 0
+
+
+def find_embedding(n: int, edges: list[tuple[int, int]], target_genus: int) -> EmbeddedGraph:
     """A rotation system of the given genus for an abstract multigraph.
 
     Fixing the first dart at each vertex, the search space is the product of
-    (deg - 1)! cyclic orders.  Small spaces are scanned exhaustively in lex
-    order, so the result is reproducible; larger ones are sampled with the
-    given seed.
+    (deg - 1)! cyclic orders.  Spaces of at most EXHAUSTIVE_CAP are scanned
+    exhaustively in lex order; larger ones get SAMPLE_TRIES draws from a
+    generator seeded with SAMPLE_SEED.  Either way the result is reproducible.
     """
     out = _out_darts(n, edges)
     space = 1
@@ -59,14 +57,14 @@ def find_embedding(
         orders = [[ds[0], *rest] if ds else [] for ds, rest in zip(out, choice)]
         return from_cyclic_orders(n, edges, orders)
 
-    if space <= exhaustive_cap:
+    if space <= EXHAUSTIVE_CAP:
         for choice in itertools.product(*[list(itertools.permutations(ds[1:])) for ds in out]):
             g = build(choice)
             if genus(g) == target_genus:
                 return g
     else:
-        rng = random.Random(seed)
-        for _ in range(tries):
+        rng = random.Random(SAMPLE_SEED)
+        for _ in range(SAMPLE_TRIES):
             choice = []
             for ds in out:
                 rest = list(ds[1:])

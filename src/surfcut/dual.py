@@ -50,12 +50,6 @@ class IntegerChain:
     def __add__(self, other: "IntegerChain") -> "IntegerChain":
         return IntegerChain(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
 
-    def __sub__(self, other: "IntegerChain") -> "IntegerChain":
-        return IntegerChain(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
-    def __neg__(self) -> "IntegerChain":
-        return IntegerChain(tuple(-a for a in self.coeffs))
-
 
 @dataclass(frozen=True)
 class DualGraph:

@@ -197,7 +197,7 @@ def parse_embedding(text: str) -> EmbeddedGraph:
     tails: list[int] = []
     heads: list[int] = []
     i = 1
-    while i < len(lines) and lines[i].startswith("edge"):
+    while i < len(lines) and lines[i].split()[0] == "edge":
         parts = lines[i].split()
         if len(parts) != 3:
             raise EmbeddingError(f"bad edge line {lines[i]!r}")

@@ -2,17 +2,21 @@
 
 The minimizer scores dual chains by |chain| / f(|weight|/n), exactly the cut
 quotient when the chain is a cut.  It scans sums of at most genus+1 tagged
-walks whose crossing vectors cancel, then converts the best chain into a
-vertex cut by thresholding a potential function, which can only improve the
-score.  The two values must agree at the optimum, and the solver checks that.
+walks whose crossing vectors cancel: one pass over the walks sorted by chain
+mass, cut off exactly where the masses pass the edge count m, with the last
+walk of each sum looked up by the crossing vector that cancels the rest.
+The best chain becomes a vertex cut by thresholding a potential function,
+which can only improve the score.  The two values must agree at the
+optimum, and the solver checks that.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, shortest_tagged_walks
@@ -87,38 +91,24 @@ def combine_and_minimize(
 ) -> CombineResult:
     """Scan sums of at most genus+1 tagged walks with cancelling crossings.
 
-    Partial sums are pruned once their chains alone weigh more than m, since
-    an optimal cut chain splits into circuits of total size at most m.  Ties
-    break on value, then chain size, then chain coefficients.
+    An optimal cut chain splits into circuits of total size at most m, so
+    only multisets of walks whose chain sizes (their mass) sum to at most m
+    are scanned.  The walks are sorted by mass and each multiset is taken
+    once, as a nondecreasing index sequence.  A slot that has `left` slots
+    still to fill stops at the first walk with mass + its mass * left > m:
+    every later walk weighs at least as much, so this prune is exact.  The
+    last slot must cancel the crossings so far, so it reads only the walks
+    with that crossing vector.  Ties break on value, then chain size, then
+    chain coefficients.
     """
-    g2 = 2 * system.genus
-    slots = system.genus + 1
-    zero_v = (0,) * g2
-
-    entries = []
-    for key in sorted(cover.walks):
-        walk = cover.walks[key]
-        if walk.length == 0 or walk.chain.is_zero:
-            continue
-        if walk.chain.size > m:
-            continue
-        entries.append((walk.k, walk.v, walk.chain, walk.chain.size))
-    entries.sort(key=lambda e: (e[1], e[0]))
-
-    # group entries by crossing vector; the crossing algebra only sees groups
-    group_v: list[tuple[int, ...]] = []
-    group_span: list[tuple[int, int]] = []
-    group_min_mass: list[int] = []
-    gid_of: dict[tuple[int, ...], int] = {}
-    pos = 0
-    for v, grp in itertools.groupby(entries, key=lambda e: e[1]):
-        block = list(grp)
-        gid_of[v] = len(group_v)
-        group_v.append(v)
-        group_span.append((pos, pos + len(block)))
-        group_min_mass.append(min(e[3] for e in block))
-        pos += len(block)
-    max_coord = [max((abs(v[j]) for v in group_v), default=0) for j in range(g2)]
+    entries = sorted(
+        (walk.chain.size, (walk.k, walk.v), walk.chain)
+        for walk in cover.walks.values()
+        if not walk.chain.is_zero and walk.chain.size <= m
+    )
+    by_v: dict[tuple[int, ...], list[int]] = {}
+    for i, (_, (_, v), _) in enumerate(entries):
+        by_v.setdefault(v, []).append(i)
 
     fcache: dict[int, Fraction] = {}
 
@@ -129,71 +119,47 @@ def combine_and_minimize(
 
     best: tuple | None = None
     candidates = 0
-    chosen: list[int] = []
 
-    def consider(k: int):
+    def consider(picked: tuple[int, ...], k: int):
         nonlocal best, candidates
         candidates += 1
-        chain = entries[chosen[0]][2]
-        for idx in chosen[1:]:
-            chain = chain + entries[idx][2]
+        chain = entries[picked[0]][2]
+        for i in picked[1:]:
+            chain = chain + entries[i][2]
         value = Fraction(chain.size) / fval(abs(k))
         key = (value, chain.size, chain.coeffs)
         if best is None or key < best[0]:
-            best = (key, chain, k, tuple(entries[idx][:2] for idx in chosen))
+            best = (key, chain, k, picked)
 
-    def fill(gids: list[int], pos: int, i0: int, acc_k: int, acc_mass: int):
-        """Pick one entry per chosen group slot, nondecreasing within a group."""
-        if pos == len(gids):
-            if 1 <= abs(acc_k) <= n - 1:
-                consider(acc_k)
-            return
-        gid = gids[pos]
-        lo, hi = group_span[gid]
-        start = max(lo, i0) if pos > 0 and gids[pos - 1] == gid else lo
-        for idx in range(start, hi):
-            k, _, _, mass = entries[idx]
-            if acc_mass + mass > m:
-                continue
-            chosen.append(idx)
-            fill(gids, pos + 1, idx, acc_k + k, acc_mass + mass)
-            chosen.pop()
-
-    gids: list[int] = []
-
-    def scan(g0: int, acc_v: tuple[int, ...], acc_min_mass: int, left: int):
-        """Enumerate nondecreasing group multisets whose vectors cancel."""
+    def extend(picked: tuple[int, ...], left: int, k: int, v: tuple[int, ...], mass: int):
+        """Fill `left` more slots with entries at indices >= the last one picked."""
+        start = picked[-1] if picked else 0
         if left == 1:
-            target = tuple(-x for x in acc_v)
-            gid = gid_of.get(target)
-            if gid is not None and gid >= g0 and acc_min_mass + group_min_mass[gid] <= m:
-                gids.append(gid)
-                fill(gids, 0, 0, 0, 0)
-                gids.pop()
+            same = by_v.get(tuple(-x for x in v), ())
+            for i in same[bisect_left(same, start):]:
+                emass, (ek, _), _ = entries[i]
+                if mass + emass > m:
+                    break
+                if 1 <= abs(k + ek) <= n - 1:
+                    consider(picked + (i,), k + ek)
             return
-        for gid in range(g0, len(group_v)):
-            mm = acc_min_mass + group_min_mass[gid]
-            if mm > m:
-                continue
-            v = group_v[gid]
-            nv = tuple(a + b for a, b in zip(acc_v, v))
-            gids.append(gid)
-            if nv == zero_v:
-                fill(gids, 0, 0, 0, 0)
-            if all(abs(x) <= (left - 1) * mc for x, mc in zip(nv, max_coord)):
-                scan(gid, nv, mm, left - 1)
-            gids.pop()
+        for i in range(start, len(entries)):
+            emass, (ek, ev), _ = entries[i]
+            if mass + emass * left > m:
+                break
+            extend(picked + (i,), left - 1, k + ek, tuple(map(add, v, ev)), mass + emass)
 
-    scan(0, zero_v, 0, slots)
+    for r in range(1, system.genus + 2):
+        extend((), r, 0, (0,) * (2 * system.genus), 0)
 
     if best is None:
         raise SolverError("no null-homologous combination found; walk table is incomplete")
-    (value, _, _), sigma, k, walks_used = best
+    (value, _, _), sigma, k, picked = best
     return CombineResult(
         sigma=sigma,
         k=k,
         value=value,
-        walks_used=walks_used,
+        walks_used=tuple(entries[i][1] for i in picked),
         candidates=candidates,
     )
 

@@ -54,7 +54,7 @@ def test_single_vertex_cut_is_negative_face(g):
         c = cut_chain(g, {v})
         k = next(k for k, vv in face_vertex.items() if vv == v)
         face = IntegerChain.of_walk(dual.graph.m, dfaces.facial_walks[k])
-        assert c.coeffs == (-face).coeffs
+        assert (c + face).is_zero
 
 
 @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}g{genus(g)}")
@@ -71,10 +71,9 @@ def test_chain_algebra():
     a = IntegerChain((1, -2, 3))
     b = IntegerChain((0, 2, -3))
     assert (a + b).coeffs == (1, 0, 0)
-    assert (a - b).coeffs == (1, -4, 6)
-    assert (-a).coeffs == (-1, 2, -3)
     assert a.size == 6
-    assert (a + b - a - b).is_zero
+    assert not (a + b).is_zero
+    assert (a + IntegerChain((-1, 2, -3))).is_zero
     assert a.dart_coeff(0) == 1 and a.dart_coeff(1) == -1
     assert a.dart_coeff(2) == -2 and a.dart_coeff(3) == 2
 
@@ -93,7 +92,7 @@ def test_cut_chain_values():
     # edges (0,1) and (2,3) stay inside, the four cross edges leave
     assert c.coeffs[0] == 0 and c.coeffs[5] == 0
     assert c.size == 4
-    assert cut_chain(g, {2, 3}).coeffs == (-c).coeffs
+    assert (cut_chain(g, {2, 3}) + c).is_zero
 
 
 def test_cut_chain_rejects_trivial_sides():

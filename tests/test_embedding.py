@@ -113,6 +113,12 @@ def test_parse_rejects_more_vertices_than_edges_can_connect():
         parse_embedding("vertices 1000000000\nedge 0 1\nrot 0: 0\nrot 1: 1\n")
 
 
+@pytest.mark.parametrize("word", ["edges", "edgeX"])
+def test_parse_rejects_words_that_only_start_with_edge(word):
+    with pytest.raises(EmbeddingError, match="no edges"):
+        parse_embedding(f"vertices 2\n{word} 0 1\nrot 0: 0\nrot 1: 1\n")
+
+
 def test_parse_rejects_wrong_tail():
     text = "vertices 2\nedge 0 1\nrot 0: 1\nrot 1: 0\n"
     with pytest.raises(EmbeddingError, match="tail"):

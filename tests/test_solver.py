@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,6 +91,35 @@ def test_combine_on_single_edge(corpus_contexts):
     assert comb.value == Fraction(2)
     assert len(comb.walks_used) == 1
     assert comb.candidates == 2
+
+
+@pytest.mark.parametrize(
+    "name", ["theta_torus", "banana24_torus", "k4_torus", "k5_torus", "banana25_g2"]
+)
+def test_combine_matches_plain_enumeration(name, corpus_contexts):
+    # every multiset of at most genus+1 walks, with no pruning at all
+    ctx = corpus_contexts[name]
+    n, m, f = ctx.g.n, ctx.g.m, quotient()
+    walks = [w for w in ctx.cover.walks.values() if not w.chain.is_zero and w.chain.size <= m]
+    best, count = None, 0
+    for r in range(1, ctx.genus + 2):
+        pool = [w for w in walks if w.chain.size <= m - r + 1]
+        mass = [w.chain.size for w in pool]
+        for idx in itertools.combinations_with_replacement(range(len(pool)), r):
+            if sum(mass[i] for i in idx) > m:
+                continue
+            if any(sum(c) for c in zip(*(pool[i].v for i in idx))):
+                continue
+            k = sum(pool[i].k for i in idx)
+            if not 1 <= abs(k) <= n - 1:
+                continue
+            count += 1
+            chain = IntegerChain(tuple(map(sum, zip(*(pool[i].chain.coeffs for i in idx)))))
+            key = (Fraction(chain.size) / f(Fraction(abs(k), n)), chain.size, chain.coeffs, k)
+            best = key if best is None else min(best, key)
+    comb = combine_and_minimize(ctx.cover, ctx.loops, f, n, m)
+    assert (comb.value, comb.sigma.coeffs, comb.k) == (best[0], best[2], best[3])
+    assert comb.candidates == count
 
 
 @pytest.mark.parametrize("name", ["p4", "c6", "k4", "apollonian7"])
