@@ -9,7 +9,11 @@ independently from the file.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from surfcut.construct import (
     banana_edges,
@@ -27,7 +31,6 @@ from surfcut.construct import (
 )
 from surfcut.embedding import format_embedding, genus
 
-ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
 OCTAHEDRON = [

@@ -1,9 +1,12 @@
 """Brute-force references the solver is tested against.
 
-Subset enumeration scores every proper cut directly from the definition.
-Walk enumeration lists all short closed walks of a dual up to rotation and
-reversal, giving an independent check of the tagged walk table.  Both blow
-up exponentially and carry hard caps.
+Subset enumeration scores every proper cut from the definition, building
+each side from a smaller one plus its top vertex so that a cut size costs a
+few popcounts; loops are never cut and are skipped.  A cut's value depends
+only on its size and |S|, so the balance function is called once per such
+pair.  Walk enumeration lists all short closed walks of a dual up to
+rotation and reversal, giving an independent check of the tagged walk
+table.  Both blow up exponentially and carry hard caps.
 """
 
 from __future__ import annotations
@@ -43,28 +46,63 @@ def _side_connected(g: EmbeddedGraph, side: set[int]) -> bool:
 
 
 def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> OracleReport:
-    """Score all 2^(n-1) - 1 cuts whose side S contains vertex 0."""
-    if g.n > cap:
-        raise ValueError(f"brute force capped at {cap} vertices, graph has {g.n}")
+    """Score all 2^(n-1) - 1 cuts whose side S contains vertex 0.
+
+    Sides are n-bit masks holding bit 0, visited in ascending order, which is
+    also the insertion order of `all_values`.  A side S with top vertex v
+    follows its parent S - v, visited earlier: cut(S) = cut(S - v) + deg(v)
+    - 2 e(v, S - v), with e read off v's neighbour-multiplicity masks by
+    popcount.  Loop edges are skipped, since no side ever cuts one.  The
+    value |cut| / f(|S| / n) depends on (|cut|, |S|) alone, so `f` is called
+    once per distinct pair and the sides sharing a pair share its value.
+    Only the sides tied at the minimum are sorted, by (|cut|, S), the
+    `CutResult.sort_key` order; `best` is the first of them and
+    `minimal_witness` the first whose S and complement are both connected,
+    each scored by `score_cut`.
+    """
     n = g.n
-    best: CutResult | None = None
+    if n > cap:
+        raise ValueError(f"brute force capped at {cap} vertices, graph has {n}")
+    if n < 2:
+        raise ValueError(f"brute force needs at least 2 vertices to cut, graph has {n}")
+    count = [[0] * n for _ in range(n)]
+    for d in range(0, g.num_darts, 2):
+        u, v = g.tails[d], g.heads[d]
+        if u != v:
+            count[u][v] += 1
+            count[v][u] += 1
+    deg = [sum(row) for row in count]
+    # layers[v][j] holds the neighbours joined to v by more than j edges
+    layers = [
+        [sum(1 << u for u in range(n) if row[u] > j) for j in range(max(row))] for row in count
+    ]
+    # sides[i] is the side 2i + 1: vertex v >= 1 is in it when bit v - 1 of i is
+    sides: list[tuple[int, ...]] = [(0,)]
+    cuts = [deg[0]]
+    for i in range(1, 2 ** (n - 1) - 1):
+        v = i.bit_length()
+        p = i ^ (1 << (v - 1))
+        c = cuts[p] + deg[v]
+        for lay in layers[v]:
+            c -= 2 * ((2 * p + 1) & lay).bit_count()
+        cuts.append(c)
+        sides.append(sides[p] + (v,))
+    values: dict[tuple[int, int], Fraction] = {}
     all_values: dict[tuple[int, ...], Fraction] = {}
-    results = []
-    for mask in range(2 ** (n - 1) - 1):
-        S = [0] + [v for v in range(1, n) if mask >> (v - 1) & 1]
-        r = score_cut(g, S, f)
-        all_values[r.S] = r.value
-        results.append(r)
-        if best is None or r.sort_key < best.sort_key:
-            best = r
+    for c, S in zip(cuts, sides):
+        key = (c, len(S))
+        if key not in values:
+            values[key] = Fraction(c) / f(Fraction(len(S), n))
+        all_values[S] = values[key]
+    low = min(values.values())
+    tied_keys = {key for key, value in values.items() if value == low}
+    tied = sorted((c, S) for c, S in zip(cuts, sides) if (c, len(S)) in tied_keys)
+    best = score_cut(g, tied[0][1], f)
     witness = None
-    for r in sorted(results, key=lambda r: r.sort_key):
-        if r.value != best.value:
-            break
-        side = set(r.S)
-        other = set(range(n)) - side
-        if _side_connected(g, side) and _side_connected(g, other):
-            witness = r
+    for _, S in tied:
+        side = set(S)
+        if _side_connected(g, side) and _side_connected(g, set(range(n)) - side):
+            witness = score_cut(g, S, f)
             break
     return OracleReport(best=best, minimal_witness=witness, all_values=all_values)
 

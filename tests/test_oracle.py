@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from surfcut.balance import density, quotient
+from surfcut.balance import density, expansion, parse_custom, quotient
+from surfcut.construct import random_planar
 from surfcut.oracle import (
     brute_force_cut,
     enumerate_closed_walks,
@@ -44,21 +45,68 @@ def test_witness_is_optimal_and_connected(name, corpus_graphs):
     assert w.value == report.best.value
     # recompute connectivity from scratch on both sides
     for side in (set(w.S), set(range(g.n)) - set(w.S)):
-        seen = {min(side)}
-        stack = [min(side)]
-        while stack:
-            v = stack.pop()
-            for d in g.out_darts[v]:
-                u = g.heads[d]
-                if u in side and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        assert seen == side
+        assert _connected(g, side)
 
 
 def test_vertex_cap(corpus_graphs):
     with pytest.raises(ValueError, match="capped"):
         brute_force_cut(corpus_graphs["c4"], quotient(), cap=3)
+
+
+def test_one_vertex_graph_is_rejected(corpus_contexts):
+    # the dual of a path on 3 vertices: one face, two loops, nothing to cut
+    g = corpus_contexts["p3"].dual.graph
+    assert g.n == 1
+    with pytest.raises(ValueError, match="graph has 1"):
+        brute_force_cut(g, quotient())
+
+
+def _connected(g, side):
+    seen = {min(side)}
+    stack = [min(side)]
+    while stack:
+        v = stack.pop()
+        for d in g.out_darts[v]:
+            u = g.heads[d]
+            if u in side and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen == side
+
+
+def test_brute_force_matches_plain_scoring(corpus_graphs, corpus_contexts):
+    # the definition restated: score every side holding vertex 0 on its own,
+    # take the sort_key minimum, then the first tied side whose two halves
+    # are both connected
+    profiles = [quotient(), density(), expansion(), parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")]
+    graphs = list(corpus_graphs.values()) + [
+        random_planar(12, 2, seed=5),
+        random_planar(12, 4, seed=6),
+        corpus_contexts["k4_torus"].dual.graph,  # 2 vertices, 2 loops
+        corpus_contexts["apollonian12_del"].dual.graph,  # 15 vertices, 1 loop
+    ]
+    for g in graphs:
+        sides = [
+            [0] + [v for v in range(1, g.n) if mask >> (v - 1) & 1]
+            for mask in range(2 ** (g.n - 1) - 1)
+        ]
+        for f in profiles:
+            results = [score_cut(g, S, f) for S in sides]
+            order = sorted(results, key=lambda r: r.sort_key)
+            best = order[0]
+            witness = next(
+                (
+                    r for r in order
+                    if r.value == best.value
+                    and _connected(g, set(r.S))
+                    and _connected(g, set(range(g.n)) - set(r.S))
+                ),
+                None,
+            )
+            report = brute_force_cut(g, f)
+            assert list(report.all_values.items()) == [(r.S, r.value) for r in results]
+            assert report.best == best
+            assert report.minimal_witness == witness
 
 
 def test_triangle_dual_walk_classes(corpus_contexts):
