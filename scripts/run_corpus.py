@@ -4,7 +4,9 @@ Usage:
     python scripts/run_corpus.py [--oracle] [--f quotient density ...]
 
 With --oracle each value is cross-checked against brute force; a mismatch
-aborts the run.  Values are exact rationals printed as p/q.
+aborts the run.  Values are exact rationals printed as p/q.  D is the
+deepest walk table the solves of an instance read, and states the most
+states one start dart of its cover run visited.
 """
 
 import argparse
@@ -40,22 +42,26 @@ def main():
     funcs = [(spec, make_balance(spec)) for spec in args.f]
 
     manifest = json.loads((ROOT / "corpus" / "manifest.json").read_text())
-    header = ["name", "n", "m", "g", "states"] + [spec for spec, _ in funcs]
-    widths = [18, 3, 3, 2, 7] + [12] * len(funcs)
+    header = ["name", "n", "m", "g", "D", "states"] + [spec for spec, _ in funcs]
+    widths = [18, 3, 3, 2, 3, 7] + [12] * len(funcs)
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
 
     t0 = time.monotonic()
     for item in manifest:
         g = parse_embedding((ROOT / "corpus" / item["file"]).read_text())
         ctx = SolveContext(g)
-        row = [item["name"], g.n, g.m, ctx.genus, ctx.cover.max_states]
+        values, tables = [], []
         for spec, f in funcs:
-            r = ctx.solve(f)
+            det = ctx.solve_detailed(f)
+            r = det.result
             if args.oracle:
                 want = brute_force_cut(g, f).best.value
                 if r.value != want:
                     sys.exit(f"MISMATCH on {item['name']} ({spec}): {r.value} vs {want}")
-            row.append(frac(r.value))
+            values.append(frac(r.value))
+            tables.append(det.cover)
+        deepest = max(tables, key=lambda c: c.depth_cap)
+        row = [item["name"], g.n, g.m, ctx.genus, deepest.depth_cap, deepest.max_states, *values]
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     note = " (oracle checked)" if args.oracle else ""
     print(f"done: {len(manifest)} instances in {time.monotonic() - t0:.1f}s{note}")

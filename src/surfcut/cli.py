@@ -52,6 +52,9 @@ def run(cfg: argparse.Namespace) -> int:
         if not (0 <= cfg.root < g.n):
             raise ValueError(f"root {cfg.root} out of range for {g.n} vertices")
         ctx = SolveContext(g, cfg.root)
+        # the dump needs the full table; building it first lets the solve
+        # restrict it instead of running the cover a second time
+        table = ctx.cover if cfg.dump_walks_path else None
         det = ctx.solve_detailed(f)
         report = None
         if cfg.oracle:
@@ -65,7 +68,7 @@ def run(cfg: argparse.Namespace) -> int:
 
     if cfg.dump_walks_path:
         try:
-            Path(cfg.dump_walks_path).write_text(dump_walks(det.cover), encoding="utf-8")
+            Path(cfg.dump_walks_path).write_text(dump_walks(table), encoding="utf-8")
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1

@@ -4,22 +4,28 @@ A BFS runs over states (face, accumulated weight k, accumulated crossing
 vector v), the fibers of a covering of the dual.  A state back at its start
 face describes a closed walk; per tag (k, v) the table keeps the shortest
 closed walk, ties going to the lexicographically smallest dart sequence.
-Walk length is capped at the edge count m, which is enough for every chain
-the minimizer may need.
+Walk length is capped at a depth D, at most the edge count m.  The solver
+picks D = min(m, floor(U * F)) from the value U of some cut and the peak
+F of the balance function: an optimal cut has at most OPT * F <= U * F
+edges, so no walk the minimizer may need is longer.  The BFS goes level by
+level with lexicographic ties inside a level, so the depth-D table is the
+depth-m table restricted to walks of at most D darts (`restrict`).
 
-Walks of length at most m keep k and v inside a box known before the search,
-so a state is one int in mixed radix (digits: face, k + K, v_j + V_j) and a
-dart moves every state by the same precomputed int.  One BFS runs per start
-dart d0, using only darts >= d0: every closed walk has a rotation starting
-at its smallest dart, so no class is missed.  The minimum-face rule (Johnson
-1975: start at the smallest face and stay on faces >= it) would prune more,
-but it finds a different member of a tie than the lexicographic minimum and
-so changes the stored dart sequences.
+A dart's weight is a subtree size, at most n - 1, and each loop crosses an
+edge at most once, so walks of at most D darts keep k and v inside a box
+known before the search.  A state is then one int in mixed radix (digits:
+face, k + K, v_j + V_j) and a dart moves every state by the same
+precomputed int.  One BFS runs per start dart d0, using only darts >= d0:
+every closed walk has a rotation starting at its smallest dart, so no class
+is missed.  The minimum-face rule (Johnson 1975: start at the smallest face
+and stay on faces >= it) would prune more, but it finds a different member
+of a tie than the lexicographic minimum and so changes the stored dart
+sequences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from surfcut.dual import DualGraph, IntegerChain
 from surfcut.homology import LoopSystem, WeightFunction
@@ -41,11 +47,12 @@ class TaggedWalk:
 
 @dataclass(frozen=True)
 class CoverResult:
-    """All per-tag shortest closed walks plus search accounting.
+    """All per-tag shortest closed walks of at most depth_cap darts.
 
-    states_per_start has one entry per start dart: the states its run
-    visited.  face_count is the number of dual vertices, one axis of the
-    state space that bounds every run.
+    The other fields account for the search that built the table, which for
+    a restricted table went deeper: states_per_start has one entry per start
+    dart, the states its run visited, and face_count, k_bound and v_bounds
+    span the state space that bounds every run.
     """
 
     walks: dict[tuple[int, tuple[int, ...]], TaggedWalk]
@@ -68,32 +75,37 @@ class CoverResult:
         return bound
 
 
-def shortest_tagged_walks(dual: DualGraph, w: WeightFunction, system: LoopSystem) -> CoverResult:
+def shortest_tagged_walks(
+    dual: DualGraph, w: WeightFunction, system: LoopSystem, depth: int | None = None
+) -> CoverResult:
     """BFS the covering of the dual once per start dart and merge.
 
-    The stored walk of a tag is the lexicographically smallest of its
-    shortest closed walks.  That set is closed under rotation, so its
-    smallest member starts with its own smallest dart d0 and uses no dart
-    below it.  The run from d0 expands darts >= d0 in ascending order with a
-    FIFO frontier, so the first path recorded for a state is the
-    lexicographically smallest shortest one, and the run finds that walk.
+    Walks have at most `depth` darts (default: the edge count m).  The
+    stored walk of a tag is the lexicographically smallest of its shortest
+    closed walks.  That set is closed under rotation, so its smallest member
+    starts with its own smallest dart d0 and uses no dart below it.  The run
+    from d0 expands darts >= d0 in ascending order with a FIFO frontier, so
+    the first path recorded for a state is the lexicographically smallest
+    shortest one, and the run finds that walk.
     """
     dg = dual.graph
     m = dg.m
+    if depth is None:
+        depth = m
+    n = dual.primal.n
     faces = dg.n
     tails = dg.tails
     nd = dg.num_darts
     weights = [w.dart_value(d) for d in range(nd)]
     thetas = [system.theta_dart(d) for d in range(nd)]
 
-    k_bound = m * dual.primal.n
-    v_bounds = tuple(m * lc.size for lc in system.loop_chains)
-    # every walk has at most m darts, so these keep each coordinate in its box;
-    # an int state whose coordinate escaped would silently alias another state
-    if max(map(abs, weights)) * m > k_bound or any(
-        max(abs(row[j]) for row in thetas) * m > vb for j, vb in enumerate(v_bounds)
-    ):
+    # walks of at most `depth` darts that move k by at most n - 1 and each
+    # v_j by at most 1 per dart stay in this box; an int state whose
+    # coordinate escaped would silently alias another state
+    if any(abs(x) > n - 1 for x in weights) or any(abs(x) > 1 for row in thetas for x in row):
         raise AssertionError("covering state escaped its analytic bounds")
+    k_bound = depth * (n - 1)
+    v_bounds = (depth,) * len(system.loop_chains)
 
     sizes = (2 * k_bound + 1, *(2 * vb + 1 for vb in v_bounds))
     radix = [faces]
@@ -117,8 +129,8 @@ def shortest_tagged_walks(dual: DualGraph, w: WeightFunction, system: LoopSystem
         if step[d0]:
             frontier = [origin + step[d0]]
             visited[frontier[0]] = d0
-            depth = 1
-            while frontier and depth < m:
+            level = 1
+            while frontier and level < depth:
                 nxt = []
                 for s in frontier:
                     for st, d in moves[s % faces]:
@@ -127,7 +139,7 @@ def shortest_tagged_walks(dual: DualGraph, w: WeightFunction, system: LoopSystem
                             visited[ns] = d
                             nxt.append(ns)
                 frontier = nxt
-                depth += 1
+                level += 1
         moves[t0].pop(0)
         states_per_start.append(len(visited))
 
@@ -157,12 +169,20 @@ def shortest_tagged_walks(dual: DualGraph, w: WeightFunction, system: LoopSystem
     }
     return CoverResult(
         walks=walks,
-        depth_cap=m,
+        depth_cap=depth,
         k_bound=k_bound,
         v_bounds=v_bounds,
         face_count=faces,
         states_per_start=tuple(states_per_start),
     )
+
+
+def restrict(cover: CoverResult, depth: int) -> CoverResult:
+    """The table of a BFS to `depth`, read off a table at least that deep."""
+    if depth >= cover.depth_cap:
+        return cover
+    walks = {key: walk for key, walk in cover.walks.items() if walk.length <= depth}
+    return replace(cover, walks=walks, depth_cap=depth)
 
 
 def dump_walks(cover: CoverResult) -> str:

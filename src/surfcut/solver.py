@@ -1,13 +1,18 @@
 """Minimum f-quotient cuts via null-homologous dual chains.
 
 The minimizer scores dual chains by |chain| / f(|weight|/n), exactly the cut
-quotient when the chain is a cut.  It scans sums of at most genus+1 tagged
-walks whose crossing vectors cancel: one pass over the walks sorted by chain
-mass, cut off exactly where the masses pass the edge count m, with the last
-walk of each sum looked up by the crossing vector that cancels the rest.
-The best chain becomes a vertex cut by thresholding a potential function,
-which can only improve the score.  The two values must agree at the
-optimum, and the solver checks that.
+quotient when the chain is a cut.  Let F be the peak of f over k/n,
+k = 1 .. n-1.  An optimal cut has at most OPT * F edges, and its circuits
+can be swapped for the stored shortest walks with the same tags, which are
+no longer.  So a solve first takes the value U of the best single-vertex or
+weight-tree subtree cut, reads the walk table only to depth
+D = min(m, floor(U * F)), and scans sums of at most genus+1 tagged walks
+whose crossing vectors cancel: one pass over the walks sorted by chain mass,
+cut off where the mass passes floor(best * F) for the best value found so
+far, with the last walk of each sum looked up by the crossing vector that
+cancels the rest.  The best chain becomes a vertex cut by thresholding a
+potential function, which can only improve the score.  The two values must
+agree at the optimum, and the solver checks that.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import floor
 from operator import add
 
 from surfcut.balance import BalanceFunction
-from surfcut.cover import CoverResult, shortest_tagged_walks
+from surfcut.cover import CoverResult, restrict, shortest_tagged_walks
 from surfcut.dual import DualGraph, IntegerChain, build_dual
 from surfcut.embedding import EmbeddedGraph, FaceStructure, genus, trace_faces
-from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight
+from surfcut.homology import LoopSystem, WeightFunction, _bfs_tree, build_loop_system, build_weight
 
 
 class SolverError(RuntimeError):
@@ -75,6 +81,37 @@ def score_cut(g: EmbeddedGraph, S, f: BalanceFunction) -> CutResult:
     )
 
 
+def balance_peak(f: BalanceFunction, n: int) -> Fraction:
+    """F = max f(k/n) over k = 1 .. n-1: a cut of value v has at most v * F edges.
+
+    f is symmetric and nondecreasing on [0, 1/2], so the peak is at k = n // 2.
+    """
+    return f(Fraction(n // 2, n))
+
+
+def cut_upper_bound(g: EmbeddedGraph, f: BalanceFunction, root: int = 0) -> Fraction:
+    """U: the best value among the n single-vertex cuts and the n - 1 subtree
+    cuts of the weight tree, as score_cut scores them.  Every cut's value
+    bounds the optimum from above."""
+    parent_dart, order, _ = _bfs_tree(g, root)
+    # sides as bit masks; below[v] grows into the subtree of v
+    sides = [1 << v for v in range(g.n)]
+    below = sides[:]
+    for v in reversed(order):
+        if parent_dart[v] != -1:
+            sides.append(below[v])
+            below[g.tails[parent_dart[v]]] |= below[v]
+    ends = list(zip(g.tails[::2], g.heads[::2]))
+    # a value depends on |cut| and |S| alone: keep the smallest cut per |S|
+    fewest: dict[int, int] = {}
+    for S in sides:
+        k = S.bit_count()
+        cut = sum((S >> a ^ S >> b) & 1 for a, b in ends)
+        if cut < fewest.get(k, cut + 1):
+            fewest[k] = cut
+    return min(Fraction(cut) / f(Fraction(k, g.n)) for k, cut in fewest.items())
+
+
 @dataclass(frozen=True)
 class CombineResult:
     """Best null-homologous combination found in the walk table."""
@@ -91,15 +128,18 @@ def combine_and_minimize(
 ) -> CombineResult:
     """Scan sums of at most genus+1 tagged walks with cancelling crossings.
 
-    An optimal cut chain splits into circuits of total size at most m, so
-    only multisets of walks whose chain sizes (their mass) sum to at most m
-    are scanned.  The walks are sorted by mass and each multiset is taken
-    once, as a nondecreasing index sequence.  A slot that has `left` slots
-    still to fill stops at the first walk with mass + its mass * left > m:
-    every later walk weighs at least as much, so this prune is exact.  The
-    last slot must cancel the crossings so far, so it reads only the walks
-    with that crossing vector.  Ties break on value, then chain size, then
-    chain coefficients.
+    With F = balance_peak(f, n), an optimal cut chain splits into circuits
+    of total size at most OPT * F <= best * F for the best value found so
+    far, and at most m.  So only multisets of walks whose chain sizes (their
+    mass) sum to at most limit = min(m, floor(best * F)) are scanned, and
+    the limit tightens as best improves.  The walks are sorted by mass and
+    each multiset is taken once, as a nondecreasing index sequence.  A slot
+    that has `left` slots still to fill stops at the first walk with
+    mass + its mass * left > limit: every later walk weighs at least as
+    much, so this prune is exact.  It is strict, so chains tied at the best
+    value are still scanned.  The last slot must cancel the crossings so
+    far, so it reads only the walks with that crossing vector.  Ties break
+    on value, then chain size, then chain coefficients.
     """
     entries = sorted(
         (walk.chain.size, (walk.k, walk.v), walk.chain)
@@ -117,11 +157,13 @@ def combine_and_minimize(
             fcache[k] = f(Fraction(k, n))
         return fcache[k]
 
+    peak = balance_peak(f, n)
     best: tuple | None = None
+    limit = m
     candidates = 0
 
     def consider(picked: tuple[int, ...], k: int):
-        nonlocal best, candidates
+        nonlocal best, candidates, limit
         candidates += 1
         chain = entries[picked[0]][2]
         for i in picked[1:]:
@@ -130,6 +172,7 @@ def combine_and_minimize(
         key = (value, chain.size, chain.coeffs)
         if best is None or key < best[0]:
             best = (key, chain, k, picked)
+            limit = min(m, floor(value * peak))
 
     def extend(picked: tuple[int, ...], left: int, k: int, v: tuple[int, ...], mass: int):
         """Fill `left` more slots with entries at indices >= the last one picked."""
@@ -138,14 +181,14 @@ def combine_and_minimize(
             same = by_v.get(tuple(-x for x in v), ())
             for i in same[bisect_left(same, start):]:
                 emass, (ek, _), _ = entries[i]
-                if mass + emass > m:
+                if mass + emass > limit:
                     break
                 if 1 <= abs(k + ek) <= n - 1:
                     consider(picked + (i,), k + ek)
             return
         for i in range(start, len(entries)):
             emass, (ek, ev), _ = entries[i]
-            if mass + emass * left > m:
+            if mass + emass * left > limit:
                 break
             extend(picked + (i,), left - 1, k + ek, tuple(map(add, v, ev)), mass + emass)
 
@@ -202,7 +245,11 @@ def recover_cut(g: EmbeddedGraph, sigma: IntegerChain, f: BalanceFunction) -> Cu
 
 @dataclass
 class SolveDetails:
-    """Everything the pipeline produced on the way to a cut."""
+    """Everything the pipeline produced on the way to a cut.
+
+    cover is the walk table the solve read, restricted to its depth D
+    (cover.depth_cap).
+    """
 
     result: CutResult
     sigma: IntegerChain
@@ -218,11 +265,14 @@ class SolveContext:
 
     Faces, dual, weights, loops and the walk table depend only on the graph
     and the root, so solving for several balance functions reuses them.
+    The context keeps the deepest walk table it has built and answers any
+    depth up to it by restricting that table.
     """
 
     def __init__(self, g: EmbeddedGraph, root: int = 0):
         self.g = g
         self.root = root
+        self._table: CoverResult | None = None
 
     @cached_property
     def faces(self) -> FaceStructure:
@@ -244,19 +294,32 @@ class SolveContext:
     def loops(self) -> LoopSystem:
         return build_loop_system(self.g, self.dual, self.root)
 
-    @cached_property
+    def walk_table(self, depth: int) -> CoverResult:
+        """The walk table of walks with at most `depth` darts."""
+        if self._table is None or self._table.depth_cap < depth:
+            self._table = shortest_tagged_walks(self.dual, self.weight, self.loops, depth)
+        return restrict(self._table, depth)
+
+    @property
     def cover(self) -> CoverResult:
-        return shortest_tagged_walks(self.dual, self.weight, self.loops)
+        """The full walk table, capped at the edge count m."""
+        return self.walk_table(self.g.m)
 
     def solve_detailed(self, f: BalanceFunction) -> SolveDetails:
-        comb = combine_and_minimize(self.cover, self.loops, f, self.g.n, self.g.m)
-        if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):
-            raise SolverError("minimizer returned a chain with nonzero crossings")
-        cut = recover_cut(self.g, comb.sigma, f)
-        if cut.value > comb.value:
-            raise SolverError("recovered cut scores worse than its chain")
-        if cut.value < comb.value:
-            raise SolverError("chain minimum missed a cheaper cut; walk table is incomplete")
+        n, m = self.g.n, self.g.m
+        try:
+            depth = min(m, floor(cut_upper_bound(self.g, f, self.root) * balance_peak(f, n)))
+            cover = self.walk_table(depth)
+            comb = combine_and_minimize(cover, self.loops, f, n, m)
+            if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):
+                raise SolverError("minimizer returned a chain with nonzero crossings")
+            cut = recover_cut(self.g, comb.sigma, f)
+            if cut.value > comb.value:
+                raise SolverError("recovered cut scores worse than its chain")
+            if cut.value < comb.value:
+                raise SolverError("chain minimum missed a cheaper cut; walk table is incomplete")
+        except SolverError as e:
+            raise SolverError(f"{e} (n={n}, m={m}, genus {self.genus})") from None
         return SolveDetails(
             result=cut,
             sigma=comb.sigma,
@@ -264,7 +327,7 @@ class SolveContext:
             walks_used=comb.walks_used,
             candidates=comb.candidates,
             genus=self.genus,
-            cover=self.cover,
+            cover=cover,
         )
 
     def solve(self, f: BalanceFunction) -> CutResult:

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from surfcut import cli
+from surfcut import cli, solver
+from surfcut.balance import quotient
+from surfcut.cover import dump_walks
+from surfcut.embedding import parse_embedding
 from surfcut.oracle import OracleReport
 from surfcut.solver import CutResult, SolveContext, SolverError
 
@@ -72,6 +75,26 @@ def test_dump_walks(tmp_path, capsys):
     assert run_cli(str(CORPUS_DIR / "k2.emb"), "--dump-walks", str(out)) == 0
     capsys.readouterr()
     assert out.read_text(encoding="utf-8") == "-1 1 1\n0 0\n1 1 0\n"
+
+
+def test_dump_walks_builds_the_cover_once(tmp_path, monkeypatch, capsys):
+    # the dump writes the full depth-m table and the solve restricts it
+    depths = []
+    build = solver.shortest_tagged_walks
+
+    def counted(dual, w, system, depth=None):
+        depths.append(depth)
+        return build(dual, w, system, depth)
+
+    monkeypatch.setattr(solver, "shortest_tagged_walks", counted)
+    g = parse_embedding((CORPUS_DIR / "k5_torus.emb").read_text(encoding="utf-8"))
+    out = tmp_path / "walks.txt"
+    assert run_cli(str(CORPUS_DIR / "k5_torus.emb"), "--dump-walks", str(out)) == 0
+    capsys.readouterr()
+    assert depths == [g.m]
+    ctx = SolveContext(g)
+    assert out.read_text(encoding="utf-8") == dump_walks(ctx.cover)
+    assert ctx.solve_detailed(quotient()).cover.depth_cap < g.m
 
 
 def test_nondefault_root(capsys):

@@ -80,12 +80,28 @@ def test_state_counts_within_bound():
 
 def test_weights_outside_the_state_box_are_rejected():
     # an int state whose weight coordinate left its box would alias another
-    # state, so the search refuses weights that a length-m walk could push out
+    # state, so the search refuses dart weights that could push it out
     g = find_embedding(2, [(0, 1)], 0)
     dual, w, system = pipeline(g)
     heavy = dataclasses.replace(w, values=(g.m * g.n + 1,))
     with pytest.raises(AssertionError, match="escaped its analytic bounds"):
         shortest_tagged_walks(dual, heavy, system)
+
+
+def test_state_box_follows_the_depth():
+    # the box is depth * (n - 1) for k and depth for each v_j, so a dart
+    # weight of n or a crossing count of 2 is one step past it
+    g = find_embedding(4, complete_edges(4), 1)
+    dual, w, system = pipeline(g)
+    cover = shortest_tagged_walks(dual, w, system, 3)
+    assert cover.depth_cap == 3
+    assert (cover.k_bound, cover.v_bounds) == (9, (3, 3))
+    assert all(walk.length <= 3 for walk in cover.walks.values())
+    heavy = dataclasses.replace(w, values=(g.n,) + w.values[1:])
+    crossed = dataclasses.replace(system, theta_rows=((2, 0),) + system.theta_rows[1:])
+    for weight, loops in ((heavy, system), (w, crossed)):
+        with pytest.raises(AssertionError, match="escaped its analytic bounds"):
+            shortest_tagged_walks(dual, weight, loops, 3)
 
 
 def test_shortest_walk_beats_any_longer_witness():

@@ -1,0 +1,50 @@
+"""Differential fuzzing: the solver against the brute-force oracle.
+
+Hypothesis draws connected loopless multigraphs with up to 8 vertices and
+random rotations, keeping those of genus at most 2.  The settings are
+derandomized with a fixed example count, so every run checks the same
+graphs.
+"""
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from surfcut.balance import density, parse_custom, quotient
+from surfcut.construct import from_cyclic_orders
+from surfcut.embedding import genus
+from surfcut.oracle import brute_force_cut
+from surfcut.solver import SolveContext, score_cut
+
+PROFILES = (quotient(), density(), parse_custom("0 0\n1/4 1/3\n1/2 1/2\n"))
+
+
+@st.composite
+def embedded_multigraphs(draw):
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 6))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 2))
+        edges.append((u, v + (v >= u)))
+    out = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        out[u].append(2 * i)
+        out[v].append(2 * i + 1)
+    orders = [draw(st.permutations(ds)) for ds in out]
+    return from_cyclic_orders(n, edges, orders)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(embedded_multigraphs())
+def test_solve_matches_oracle(g):
+    assume(genus(g) <= 2)
+    ctx = SolveContext(g)
+    for f in PROFILES:
+        got = ctx.solve(f)
+        assert got.value == brute_force_cut(g, f).best.value, f.kind
+        assert score_cut(g, got.S, f) == got

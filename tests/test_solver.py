@@ -1,17 +1,23 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from surfcut import solver
 from surfcut.balance import density, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import mirror_image
+from surfcut.oracle import brute_force_cut
 from surfcut.solver import (
     SolveContext,
     SolverError,
+    balance_peak,
     combine_and_minimize,
+    cut_upper_bound,
     recover_cut,
     score_cut,
     solve,
@@ -101,25 +107,28 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
     ctx = corpus_contexts[name]
     n, m, f = ctx.g.n, ctx.g.m, quotient()
     walks = [w for w in ctx.cover.walks.values() if not w.chain.is_zero and w.chain.size <= m]
-    best, count = None, 0
+    best, masses = None, []
     for r in range(1, ctx.genus + 2):
         pool = [w for w in walks if w.chain.size <= m - r + 1]
         mass = [w.chain.size for w in pool]
         for idx in itertools.combinations_with_replacement(range(len(pool)), r):
-            if sum(mass[i] for i in idx) > m:
+            total = sum(mass[i] for i in idx)
+            if total > m:
                 continue
             if any(sum(c) for c in zip(*(pool[i].v for i in idx))):
                 continue
             k = sum(pool[i].k for i in idx)
             if not 1 <= abs(k) <= n - 1:
                 continue
-            count += 1
+            masses.append(total)
             chain = IntegerChain(tuple(map(sum, zip(*(pool[i].chain.coeffs for i in idx)))))
             key = (Fraction(chain.size) / f(Fraction(abs(k), n)), chain.size, chain.coeffs, k)
             best = key if best is None else min(best, key)
     comb = combine_and_minimize(ctx.cover, ctx.loops, f, n, m)
     assert (comb.value, comb.sigma.coeffs, comb.k) == (best[0], best[2], best[3])
-    assert comb.candidates == count
+    # the mass limit floor(best * F) starts at m and never drops below floor(OPT * F)
+    floor_limit = math.floor(best[0] * balance_peak(f, n))
+    assert sum(1 for x in masses if x <= floor_limit) <= comb.candidates <= len(masses)
 
 
 @pytest.mark.parametrize("name", ["p4", "c6", "k4", "apollonian7"])
@@ -169,9 +178,70 @@ def test_mirror_image_same_value(name, corpus_graphs):
     assert solve(mirror_image(g), quotient()).value == solve(g, quotient()).value
 
 
-def test_context_caches_walk_table(corpus_graphs):
-    ctx = SolveContext(corpus_graphs["c4"])
-    assert ctx.cover is ctx.cover
+def test_context_caches_walk_table(corpus_graphs, monkeypatch):
+    # a solve builds its table only when no table at least as deep exists
+    depths = []
+    build = solver.shortest_tagged_walks
+
+    def counted(dual, w, system, depth=None):
+        depths.append(depth)
+        return build(dual, w, system, depth)
+
+    monkeypatch.setattr(solver, "shortest_tagged_walks", counted)
+    ctx = SolveContext(corpus_graphs["k5_torus"])
     a = ctx.solve_detailed(quotient())
-    b = ctx.solve_detailed(density())
+    b = ctx.solve_detailed(quotient())
     assert a.cover is b.cover
+    assert depths == [a.cover.depth_cap] and a.cover.depth_cap < ctx.g.m
+    assert ctx.cover is ctx.cover
+    assert ctx.cover.depth_cap == ctx.g.m and len(depths) == 2
+    c = ctx.solve_detailed(density())
+    assert len(depths) == 2
+    assert c.cover.walks == {
+        key: walk for key, walk in ctx.cover.walks.items() if walk.length <= c.cover.depth_cap
+    }
+
+
+def test_solver_errors_name_the_instance(corpus_graphs, monkeypatch):
+    build = solver.shortest_tagged_walks
+    monkeypatch.setattr(
+        solver, "shortest_tagged_walks", lambda *args: dataclasses.replace(build(*args), walks={})
+    )
+    with pytest.raises(SolverError) as err:
+        SolveContext(corpus_graphs["k4_torus"]).solve(quotient())
+    assert str(err.value) == (
+        "no null-homologous combination found; walk table is incomplete (n=4, m=6, genus 1)"
+    )
+
+
+def _tree_side(g, tree_edges, e, start):
+    """Vertices joined to `start` by tree edges other than e."""
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        for d in g.out_darts[u]:
+            if (d >> 1) in tree_edges and d >> 1 != e and g.heads[d] not in seen:
+                seen.add(g.heads[d])
+                stack.append(g.heads[d])
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("name", ["k4", "star5", "c7", "k5_torus", "k5_g2"])
+def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs, corpus_contexts):
+    g = corpus_graphs[name]
+    w = corpus_contexts[name].weight
+    # the positive dart of a tree edge enters the subtree it weighs
+    sides = [[v] for v in range(g.n)] + [
+        _tree_side(g, w.tree_edges, e, g.heads[2 * e] if w.values[e] > 0 else g.tails[2 * e])
+        for e in w.tree_edges
+    ]
+    for f in (quotient(), density(), CUSTOM):
+        want = min(score_cut(g, S, f).value for S in sides)
+        assert cut_upper_bound(g, f) == want
+        assert brute_force_cut(g, f).best.value <= want
+
+
+def test_balance_peak_is_the_largest_value():
+    for f in (quotient(), density(), CUSTOM, parse_custom("0 0\n1/10 1/2\n")):
+        for n in range(2, 21):
+            assert balance_peak(f, n) == max(f(Fraction(k, n)) for k in range(1, n))
