@@ -5,8 +5,10 @@ Usage:
 
 With --oracle each value is cross-checked against brute force; a mismatch
 aborts the run.  Values are exact rationals printed as p/q.  D is the
-deepest walk table the solves of an instance read, and states the most
-states one start dart of its cover run visited.
+deepest walk table the solves of an instance read, OPT*F the depth an
+exact upper bound would give (the largest min(m, floor(OPT * F)) over the
+balance functions), and states the most states one start dart of its cover
+run visited.  A last line sums D and OPT*F over the instances.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import floor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,7 +25,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from surfcut.balance import make_balance
 from surfcut.embedding import parse_embedding
 from surfcut.oracle import brute_force_cut
-from surfcut.solver import SolveContext
+from surfcut.solver import SolveContext, balance_peak
 
 
 def frac(x: Fraction) -> str:
@@ -42,15 +45,16 @@ def main():
     funcs = [(spec, make_balance(spec)) for spec in args.f]
 
     manifest = json.loads((ROOT / "corpus" / "manifest.json").read_text())
-    header = ["name", "n", "m", "g", "D", "states"] + [spec for spec, _ in funcs]
-    widths = [18, 3, 3, 2, 3, 7] + [12] * len(funcs)
+    header = ["name", "n", "m", "g", "D", "OPT*F", "states"] + [spec for spec, _ in funcs]
+    widths = [18, 3, 3, 2, 3, 5, 7] + [12] * len(funcs)
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
 
     t0 = time.monotonic()
+    sum_depth = sum_ideal = 0
     for item in manifest:
         g = parse_embedding((ROOT / "corpus" / item["file"]).read_text())
         ctx = SolveContext(g)
-        values, tables = [], []
+        values, tables, ideal = [], [], 0
         for spec, f in funcs:
             det = ctx.solve_detailed(f)
             r = det.result
@@ -60,9 +64,13 @@ def main():
                     sys.exit(f"MISMATCH on {item['name']} ({spec}): {r.value} vs {want}")
             values.append(frac(r.value))
             tables.append(det.cover)
+            ideal = max(ideal, min(g.m, floor(r.value * balance_peak(f, g.n))))
         deepest = max(tables, key=lambda c: c.depth_cap)
-        row = [item["name"], g.n, g.m, ctx.genus, deepest.depth_cap, deepest.max_states, *values]
+        sum_depth += deepest.depth_cap
+        sum_ideal += ideal
+        row = [item["name"], g.n, g.m, ctx.genus, deepest.depth_cap, ideal, deepest.max_states, *values]
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+    print(f"summed D: {sum_depth}, summed OPT*F: {sum_ideal}")
     note = " (oracle checked)" if args.oracle else ""
     print(f"done: {len(manifest)} instances in {time.monotonic() - t0:.1f}s{note}")
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (and oracle agreement), 3 when the oracle check was
 requested and disagrees, 1 for any input problem, 4 when one of the solver's
-self-checks fails (a SolverError).
+self-checks fails (a SolverError; its error line names the input file).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def run(cfg: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SolverError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {cfg.input_path}: {e}", file=sys.stderr)
         return 4
 
     if cfg.dump_walks_path:

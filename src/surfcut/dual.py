@@ -9,7 +9,7 @@ share ids, a dual chain is the primal chain with the same coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
 
@@ -19,9 +19,15 @@ class IntegerChain:
     """An antisymmetric integer labelling of darts, one coefficient per edge.
 
     coeffs[i] is the value on dart 2i; dart 2i+1 carries -coeffs[i].
+    size, the total mass (the sum of absolute coefficients), is computed
+    once, when the chain is made.
     """
 
     coeffs: tuple[int, ...]
+    size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", sum(map(abs, self.coeffs)))
 
     @classmethod
     def zero(cls, m: int) -> "IntegerChain":
@@ -37,11 +43,6 @@ class IntegerChain:
     def dart_coeff(self, d: int) -> int:
         c = self.coeffs[d >> 1]
         return c if d % 2 == 0 else -c
-
-    @property
-    def size(self) -> int:
-        """Total mass, the sum of absolute coefficients."""
-        return sum(abs(c) for c in self.coeffs)
 
     @property
     def is_zero(self) -> bool:

@@ -223,6 +223,8 @@ def parse_embedding(text: str) -> EmbeddedGraph:
         parts = line.replace(":", " ").split()
         if not parts or parts[0] != "rot":
             raise EmbeddingError(f"expected a 'rot' line, got {line!r}")
+        if len(parts) < 2:
+            raise EmbeddingError(f"rot line {line!r} names no vertex")
         try:
             v = int(parts[1])
             ds = [int(p) for p in parts[2:]]

@@ -4,15 +4,18 @@ The minimizer scores dual chains by |chain| / f(|weight|/n), exactly the cut
 quotient when the chain is a cut.  Let F be the peak of f over k/n,
 k = 1 .. n-1.  An optimal cut has at most OPT * F edges, and its circuits
 can be swapped for the stored shortest walks with the same tags, which are
-no longer.  So a solve first takes the value U of the best single-vertex or
-weight-tree subtree cut, reads the walk table only to depth
-D = min(m, floor(U * F)), and scans sums of at most genus+1 tagged walks
-whose crossing vectors cancel: one pass over the walks sorted by chain mass,
-cut off where the mass passes floor(best * F) for the best value found so
-far, with the last walk of each sum looked up by the crossing vector that
-cancels the rest.  The best chain becomes a vertex cut by thresholding a
-potential function, which can only improve the score.  The two values must
-agree at the optimum, and the solver checks that.
+no longer.  So a solve first takes the value U of the best known cut: the
+BFS balls grown from every vertex (the first k vertices of a BFS, which
+include the single vertices) and the subtree sides of the weight tree.
+Their fewest cut edges per side size depend only on the graph and are found
+once per context, so U costs one f call per side size up to n/2.  The solve
+reads the walk table only to depth D = min(m, floor(U * F)), and scans sums
+of at most genus+1 tagged walks whose crossing vectors cancel: one pass over
+the walks sorted by chain mass, cut off where the mass passes floor(best * F)
+for the best value found so far, with the last walk of each sum looked up by
+the crossing vector that cancels the rest.  The best chain becomes a vertex
+cut by thresholding a potential function, which can only improve the score.
+The two values must agree at the optimum, and the solver checks that.
 """
 
 from __future__ import annotations
@@ -89,27 +92,61 @@ def balance_peak(f: BalanceFunction, n: int) -> Fraction:
     return f(Fraction(n // 2, n))
 
 
-def cut_upper_bound(g: EmbeddedGraph, f: BalanceFunction, root: int = 0) -> Fraction:
-    """U: the best value among the n single-vertex cuts and the n - 1 subtree
-    cuts of the weight tree, as score_cut scores them.  Every cut's value
-    bounds the optimum from above."""
-    parent_dart, order, _ = _bfs_tree(g, root)
-    # sides as bit masks; below[v] grows into the subtree of v
-    sides = [1 << v for v in range(g.n)]
-    below = sides[:]
-    for v in reversed(order):
-        if parent_dart[v] != -1:
-            sides.append(below[v])
-            below[g.tails[parent_dart[v]]] |= below[v]
-    ends = list(zip(g.tails[::2], g.heads[::2]))
-    # a value depends on |cut| and |S| alone: keep the smallest cut per |S|
+def fewest_cut_edges(g: EmbeddedGraph, root: int = 0) -> dict[int, int]:
+    """min(|S|, n-|S|) -> the fewest cut edges among the known sides S.
+
+    The known sides are the n - 1 subtree sides of the weight tree at root
+    and the BFS balls: from every vertex r, the first k vertices of the BFS
+    from r, k = 1 .. n-1 (k = 1 gives the single-vertex sides).  A ball
+    grows one vertex v at a time and its cut changes by deg(v) - 2 e(v, S).
+    None of this depends on f, and f is symmetric, so a side and its
+    complement share one entry.
+    """
+    n = g.n
     fewest: dict[int, int] = {}
-    for S in sides:
-        k = S.bit_count()
-        cut = sum((S >> a ^ S >> b) & 1 for a, b in ends)
+
+    def keep(k: int, cut: int):
+        k = min(k, n - k)
         if cut < fewest.get(k, cut + 1):
             fewest[k] = cut
-    return min(Fraction(cut) / f(Fraction(k, g.n)) for k, cut in fewest.items())
+
+    # sides as bit masks; below[v] grows into the subtree of v
+    parent_dart, order, _ = _bfs_tree(g, root)
+    ends = list(zip(g.tails[::2], g.heads[::2]))
+    below = [1 << v for v in range(n)]
+    for v in reversed(order[1:]):
+        S = below[v]
+        keep(S.bit_count(), sum((S >> a ^ S >> b) & 1 for a, b in ends))
+        below[g.tails[parent_dart[v]]] |= S
+
+    # the BFS of _bfs_tree (FIFO, darts ascending); when v is scanned, the
+    # ball is the vertices ranked before it, so e(v, S) counts the
+    # neighbours of lower rank
+    nbrs = [[g.heads[d] for d in ds] for ds in g.out_darts]
+    for r in range(n):
+        rank = [n] * n
+        rank[r] = 0
+        order = [r]
+        cut = 0
+        for k, v in enumerate(order):
+            inner = 0
+            for u in nbrs[v]:
+                if rank[u] == n:
+                    rank[u] = len(order)
+                    order.append(u)
+                elif rank[u] < k:
+                    inner += 1
+            cut += len(nbrs[v]) - 2 * inner
+            if k + 1 < n:
+                keep(k + 1, cut)
+    return fewest
+
+
+def cut_upper_bound(g: EmbeddedGraph, f: BalanceFunction, root: int = 0) -> Fraction:
+    """U: the best value among the BFS balls from every vertex and the
+    subtree cuts of the weight tree at root (see fewest_cut_edges), as
+    score_cut scores them.  Every cut's value bounds the optimum from above."""
+    return SolveContext(g, root).upper_bound(f)
 
 
 @dataclass(frozen=True)
@@ -263,8 +300,9 @@ class SolveDetails:
 class SolveContext:
     """Caches the f-independent pipeline stages for one embedded graph.
 
-    Faces, dual, weights, loops and the walk table depend only on the graph
-    and the root, so solving for several balance functions reuses them.
+    Faces, dual, weights, loops, the fewest cut edges behind U and the walk
+    table depend only on the graph and the root, so solving for several
+    balance functions reuses them.
     The context keeps the deepest walk table it has built and answers any
     depth up to it by restricting that table.
     """
@@ -294,6 +332,15 @@ class SolveContext:
     def loops(self) -> LoopSystem:
         return build_loop_system(self.g, self.dual, self.root)
 
+    @cached_property
+    def fewest_cut_edges(self) -> dict[int, int]:
+        return fewest_cut_edges(self.g, self.root)
+
+    def upper_bound(self, f: BalanceFunction) -> Fraction:
+        """U for f, from the cached fewest cut edges: one f call per side size."""
+        n = self.g.n
+        return min(Fraction(cut) / f(Fraction(k, n)) for k, cut in self.fewest_cut_edges.items())
+
     def walk_table(self, depth: int) -> CoverResult:
         """The walk table of walks with at most `depth` darts."""
         if self._table is None or self._table.depth_cap < depth:
@@ -308,7 +355,7 @@ class SolveContext:
     def solve_detailed(self, f: BalanceFunction) -> SolveDetails:
         n, m = self.g.n, self.g.m
         try:
-            depth = min(m, floor(cut_upper_bound(self.g, f, self.root) * balance_peak(f, n)))
+            depth = min(m, floor(self.upper_bound(f) * balance_peak(f, n)))
             cover = self.walk_table(depth)
             comb = combine_and_minimize(cover, self.loops, f, n, m)
             if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):

@@ -124,6 +124,15 @@ def test_malformed_embedding_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rot_line_without_vertex_exits_1(tmp_path, capsys):
+    p = tmp_path / "bare_rot.emb"
+    p.write_text("vertices 2\nedge 0 1\nrot\n", encoding="utf-8")
+    assert run_cli(str(p)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: rot line 'rot' names no vertex\n"
+
+
 def test_all_zero_custom_profile_exits_1(tmp_path, capsys):
     p = tmp_path / "zero.txt"
     p.write_text("0 0\n", encoding="utf-8")
@@ -158,7 +167,8 @@ def test_solver_error_exits_4(monkeypatch, capsys):
         raise SolverError("recovered cut scores worse than its chain")
 
     monkeypatch.setattr(SolveContext, "solve_detailed", broken)
-    assert run_cli(str(CORPUS_DIR / "c4.emb"), "--json") == 4
+    path = str(CORPUS_DIR / "c4.emb")
+    assert run_cli(path, "--json") == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: recovered cut scores worse than its chain\n"
+    assert err == f"error: {path}: recovered cut scores worse than its chain\n"

@@ -119,6 +119,11 @@ def test_parse_rejects_words_that_only_start_with_edge(word):
         parse_embedding(f"vertices 2\n{word} 0 1\nrot 0: 0\nrot 1: 1\n")
 
 
+def test_parse_rejects_rot_line_without_vertex():
+    with pytest.raises(EmbeddingError, match="rot line 'rot' names no vertex"):
+        parse_embedding("vertices 2\nedge 0 1\nrot\n")
+
+
 def test_parse_rejects_wrong_tail():
     text = "vertices 2\nedge 0 1\nrot 0: 1\nrot 1: 0\n"
     with pytest.raises(EmbeddingError, match="tail"):

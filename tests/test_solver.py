@@ -8,9 +8,10 @@ import pytest
 
 from surfcut import solver
 from surfcut.balance import density, parse_custom, quotient
-from surfcut.construct import from_cyclic_orders
+from surfcut.construct import from_cyclic_orders, grid_torus
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import mirror_image
+from surfcut.homology import _bfs_tree
 from surfcut.oracle import brute_force_cut
 from surfcut.solver import (
     SolveContext,
@@ -226,17 +227,24 @@ def _tree_side(g, tree_edges, e, start):
     return sorted(seen)
 
 
-@pytest.mark.parametrize("name", ["k4", "star5", "c7", "k5_torus", "k5_g2"])
-def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs, corpus_contexts):
-    g = corpus_graphs[name]
-    w = corpus_contexts[name].weight
+# balls alone give a larger U on the 3x4 torus grid, subtree sides alone on
+# k4, k5_torus and k5_g2
+EXTRA_GRAPHS = {"grid_torus_3x4": grid_torus(3, 4)}
+
+
+@pytest.mark.parametrize("name", ["k4", "star5", "c7", "k5_torus", "k5_g2", "grid_torus_3x4"])
+def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
+    g = EXTRA_GRAPHS[name] if name in EXTRA_GRAPHS else corpus_graphs[name]
+    w = SolveContext(g).weight
     # the positive dart of a tree edge enters the subtree it weighs
-    sides = [[v] for v in range(g.n)] + [
+    subtrees = [
         _tree_side(g, w.tree_edges, e, g.heads[2 * e] if w.values[e] > 0 else g.tails[2 * e])
         for e in w.tree_edges
     ]
+    # the first k vertices of the BFS from r; k = 1 gives the single vertices
+    balls = [_bfs_tree(g, r)[1][:k] for r in range(g.n) for k in range(1, g.n)]
     for f in (quotient(), density(), CUSTOM):
-        want = min(score_cut(g, S, f).value for S in sides)
+        want = min(score_cut(g, S, f).value for S in subtrees + balls)
         assert cut_upper_bound(g, f) == want
         assert brute_force_cut(g, f).best.value <= want
 
