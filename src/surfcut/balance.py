@@ -1,11 +1,11 @@
 """Balance functions weighting cut sides, evaluated in exact rationals.
 
 A balance function maps the fraction x = |S|/n to a nonnegative rational;
-cuts are scored |cut| / f(x).  Built-ins: quotient f(x) = min(x, 1-x),
-density f(x) = x(1-x), and expansion, which scores like quotient but is
-reported as h = |cut| / min(|S|, n-|S|).  Custom functions are piecewise
-linear on [0, 1/2], nondecreasing and concave there, extended symmetrically
-by f(x) = f(1-x).
+cuts are scored |cut| / f(x).  Built-ins: quotient f(x) = min(x, 1-x) and
+density f(x) = x(1-x).  Custom functions are piecewise linear on [0, 1/2],
+nondecreasing and concave there, extended symmetrically by f(x) = f(1-x).
+Edge expansion h = |cut| / min(|S|, n-|S|) is the quotient value divided by
+n, so it needs no function of its own: the spec 'expansion' builds quotient.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class BalanceError(ValueError):
 class BalanceFunction:
     """A symmetric concave balance profile on [0, 1].
 
-    kind is one of quotient, density, expansion, custom.  breakpoints are
+    kind is one of quotient, density, custom.  breakpoints are
     only set for custom kind: (x, y) pairs with x strictly increasing from 0,
     all x in [0, 1/2], not all y zero.  Past the last breakpoint the value
     stays constant up to 1/2, and f(x) = f(1 - x) folds the rest of the unit
@@ -36,7 +36,7 @@ class BalanceFunction:
     breakpoints: tuple[tuple[Fraction, Fraction], ...] | None = None
 
     def __post_init__(self):
-        if self.kind in ("quotient", "density", "expansion"):
+        if self.kind in ("quotient", "density"):
             if self.breakpoints is not None:
                 raise BalanceError(f"{self.kind} takes no breakpoints")
             return
@@ -70,7 +70,7 @@ class BalanceFunction:
         if not (0 <= x <= 1):
             raise ValueError(f"balance argument {x} outside [0, 1]")
         x = min(x, 1 - x)
-        if self.kind in ("quotient", "expansion"):
+        if self.kind == "quotient":
             return x
         if self.kind == "density":
             return x * (1 - x)
@@ -90,10 +90,6 @@ def quotient() -> BalanceFunction:
 
 def density() -> BalanceFunction:
     return BalanceFunction(kind="density")
-
-
-def expansion() -> BalanceFunction:
-    return BalanceFunction(kind="expansion")
 
 
 def parse_custom(text: str) -> BalanceFunction:
@@ -118,14 +114,13 @@ def make_balance(spec: str) -> BalanceFunction:
     """Build a balance function from a CLI-style spec string.
 
     One of 'quotient', 'density', 'expansion', or 'custom:<path>' naming a
-    breakpoint file.
+    breakpoint file.  'expansion' builds quotient: edge expansion is the
+    quotient value divided by n, and only the report differs.
     """
-    if spec == "quotient":
+    if spec in ("quotient", "expansion"):
         return quotient()
     if spec == "density":
         return density()
-    if spec == "expansion":
-        return expansion()
     if spec.startswith("custom:"):
         path = spec.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:

@@ -55,7 +55,7 @@ def run(cfg: argparse.Namespace) -> int:
         # the dump needs the full table; building it first lets the solve
         # restrict it instead of running the cover a second time
         table = ctx.cover if cfg.dump_walks_path else None
-        det = ctx.solve_detailed(f)
+        r = ctx.solve(f)
         report = None
         if cfg.oracle:
             report = brute_force_cut(g, f)
@@ -73,12 +73,11 @@ def run(cfg: argparse.Namespace) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 1
 
-    r = det.result
     agree = report is not None and report.best.value == r.value
 
     if cfg.as_json:
         payload = {
-            "genus": det.genus,
+            "genus": ctx.genus,
             "f": cfg.f,
             "value": _frac(r.value),
             "cut_size": r.cut_size,
@@ -92,7 +91,7 @@ def run(cfg: argparse.Namespace) -> int:
         print(json.dumps(payload))
     else:
         lines = [
-            f"genus: {det.genus}",
+            f"genus: {ctx.genus}",
             f"f: {cfg.f}",
             f"value: {_frac(r.value)}",
             f"cut_size: {r.cut_size}",

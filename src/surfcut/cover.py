@@ -105,7 +105,7 @@ def shortest_tagged_walks(
     if any(abs(x) > n - 1 for x in weights) or any(abs(x) > 1 for row in thetas for x in row):
         raise AssertionError("covering state escaped its analytic bounds")
     k_bound = depth * (n - 1)
-    v_bounds = (depth,) * len(system.loop_chains)
+    v_bounds = (depth,) * (2 * system.genus)
 
     sizes = (2 * k_bound + 1, *(2 * vb + 1 for vb in v_bounds))
     radix = [faces]

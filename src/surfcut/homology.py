@@ -50,11 +50,11 @@ def _bfs_tree(g: EmbeddedGraph, root: int):
 class WeightFunction:
     """Antisymmetric edge weights measuring cut balance.
 
-    values[i] lives on dart 2i.  Nonzero only on tree edges, where the dart
-    pointing away from the root carries the size of the subtree it enters.
+    values[i] lives on dart 2i.  Nonzero only on tree_edges, the edges of
+    the BFS tree, where the dart pointing away from the root carries the
+    size of the subtree it enters.
     """
 
-    root: int
     values: tuple[int, ...]
     tree_edges: frozenset[int]
 
@@ -78,7 +78,7 @@ def build_weight(g: EmbeddedGraph, root: int = 0) -> WeightFunction:
         if d == -1:
             continue
         values[d >> 1] = subtree[v] if d % 2 == 0 else -subtree[v]
-    return WeightFunction(root=root, values=tuple(values), tree_edges=tree_edges)
+    return WeightFunction(values=tuple(values), tree_edges=tree_edges)
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,15 @@ class LoopSystem:
     edge, tree path back.  theta_rows[i] holds the crossing counts of edge
     i's even dual dart with each loop, so theta of a dual chain is a plain
     dot product per loop.  companions[j] is a dual cycle crossing loop j
-    exactly once and the other loops not at all.
+    exactly once and the other loops not at all.  The edges split into the
+    tree edges (WeightFunction.tree_edges), cotree_edges, the spanning tree
+    of the dual that avoids them, and the 2g leftover_edges, one per loop.
     """
 
-    root: int
     genus: int
     loops: tuple[tuple[int, ...], ...]
-    loop_chains: tuple[IntegerChain, ...]
     theta_rows: tuple[tuple[int, ...], ...]
     companions: tuple[IntegerChain, ...]
-    tree_edges: frozenset[int]
     cotree_edges: frozenset[int]
     leftover_edges: tuple[int, ...]
 
@@ -191,13 +190,10 @@ def build_loop_system(g: EmbeddedGraph, dual: DualGraph, root: int = 0) -> LoopS
         companions.append(IntegerChain.of_walk(g.m, tuple(cwalk)))
 
     return LoopSystem(
-        root=root,
         genus=g_genus,
         loops=tuple(loops),
-        loop_chains=tuple(loop_chains),
         theta_rows=theta_rows,
         companions=tuple(companions),
-        tree_edges=tree_edges,
         cotree_edges=cotree_edges,
         leftover_edges=leftover,
     )

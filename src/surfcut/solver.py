@@ -29,8 +29,8 @@ from operator import add
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, restrict, shortest_tagged_walks
-from surfcut.dual import DualGraph, IntegerChain, build_dual
-from surfcut.embedding import EmbeddedGraph, FaceStructure, genus, trace_faces
+from surfcut.dual import DualGraph, IntegerChain, build_dual, cut_chain
+from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
 from surfcut.homology import LoopSystem, WeightFunction, _bfs_tree, build_loop_system, build_weight
 
 
@@ -42,13 +42,13 @@ class SolverError(RuntimeError):
 class CutResult:
     """A vertex cut with its exact scores.
 
-    S is the side containing vertex 0, sorted.  balance is min(|S|, n-|S|)/n
-    and expansion is |cut| / min(|S|, n-|S|).  value is |cut| / f(balance)
-    for whatever balance function produced the result.
+    S is the side containing vertex 0, sorted, and cut_size the number of
+    edges between S and the rest.  balance is min(|S|, n-|S|)/n and
+    expansion is |cut| / min(|S|, n-|S|).  value is |cut| / f(balance) for
+    whatever balance function produced the result.
     """
 
     S: tuple[int, ...]
-    cut_edges: tuple[int, ...]
     cut_size: int
     balance: Fraction
     value: Fraction
@@ -60,27 +60,19 @@ class CutResult:
 
 
 def score_cut(g: EmbeddedGraph, S, f: BalanceFunction) -> CutResult:
-    """Score a nonempty proper vertex subset as a cut."""
-    inside = [False] * g.n
-    for v in S:
-        inside[v] = True
-    k = sum(inside)
-    if k == 0 or k == g.n:
-        raise ValueError("cut side must be a nonempty proper subset")
-    if not inside[0]:
-        inside = [not b for b in inside]
-        k = g.n - k
-    edges = tuple(
-        e for e in range(g.m) if inside[g.tails[2 * e]] != inside[g.heads[2 * e]]
-    )
+    """Score a nonempty proper subset of the vertices as a cut, else ValueError."""
+    side = set(S)
+    size = cut_chain(g, side).size
+    if 0 not in side:
+        side = set(range(g.n)) - side
+    k = len(side)
     small = min(k, g.n - k)
     return CutResult(
-        S=tuple(v for v in range(g.n) if inside[v]),
-        cut_edges=edges,
-        cut_size=len(edges),
+        S=tuple(sorted(side)),
+        cut_size=size,
         balance=Fraction(small, g.n),
-        value=Fraction(len(edges)) / f(Fraction(k, g.n)),
-        expansion=Fraction(len(edges), small),
+        value=Fraction(size) / f(Fraction(k, g.n)),
+        expansion=Fraction(size, small),
     )
 
 
@@ -142,13 +134,6 @@ def fewest_cut_edges(g: EmbeddedGraph, root: int = 0) -> dict[int, int]:
     return fewest
 
 
-def cut_upper_bound(g: EmbeddedGraph, f: BalanceFunction, root: int = 0) -> Fraction:
-    """U: the best value among the BFS balls from every vertex and the
-    subtree cuts of the weight tree at root (see fewest_cut_edges), as
-    score_cut scores them.  Every cut's value bounds the optimum from above."""
-    return SolveContext(g, root).upper_bound(f)
-
-
 @dataclass(frozen=True)
 class CombineResult:
     """Best null-homologous combination found in the walk table."""
@@ -181,7 +166,7 @@ def combine_and_minimize(
     entries = sorted(
         (walk.chain.size, (walk.k, walk.v), walk.chain)
         for walk in cover.walks.values()
-        if not walk.chain.is_zero and walk.chain.size <= m
+        if not walk.chain.is_zero
     )
     by_v: dict[tuple[int, ...], list[int]] = {}
     for i, (_, (_, v), _) in enumerate(entries):
@@ -284,16 +269,13 @@ def recover_cut(g: EmbeddedGraph, sigma: IntegerChain, f: BalanceFunction) -> Cu
 class SolveDetails:
     """Everything the pipeline produced on the way to a cut.
 
-    cover is the walk table the solve read, restricted to its depth D
-    (cover.depth_cap).
+    result is the recovered cut and combine the minimizer's best chain,
+    with its value, walks and candidate count.  cover is the walk table the
+    solve read, restricted to its depth D (cover.depth_cap).
     """
 
     result: CutResult
-    sigma: IntegerChain
-    sigma_value: Fraction
-    walks_used: tuple
-    candidates: int
-    genus: int
+    combine: CombineResult
     cover: CoverResult
 
 
@@ -316,9 +298,9 @@ class SolveContext:
     def faces(self) -> FaceStructure:
         return trace_faces(self.g)
 
-    @cached_property
+    @property
     def genus(self) -> int:
-        return genus(self.g, self.faces)
+        return self.loops.genus
 
     @cached_property
     def dual(self) -> DualGraph:
@@ -367,15 +349,7 @@ class SolveContext:
                 raise SolverError("chain minimum missed a cheaper cut; walk table is incomplete")
         except SolverError as e:
             raise SolverError(f"{e} (n={n}, m={m}, genus {self.genus})") from None
-        return SolveDetails(
-            result=cut,
-            sigma=comb.sigma,
-            sigma_value=comb.value,
-            walks_used=comb.walks_used,
-            candidates=comb.candidates,
-            genus=self.genus,
-            cover=cover,
-        )
+        return SolveDetails(result=cut, combine=comb, cover=cover)
 
     def solve(self, f: BalanceFunction) -> CutResult:
         return self.solve_detailed(f).result

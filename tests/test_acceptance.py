@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from surfcut import cli
-from surfcut.balance import density, expansion, parse_custom, quotient
+from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import complete_bipartite_edges, complete_edges, random_planar
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import trace_faces
@@ -77,7 +77,7 @@ def test_criterion_2_planar_regression():
         n = rng.randrange(4, 13)
         g = random_planar(n, deletions=rng.randrange(0, 4), seed=1000 + i)
         det = SolveContext(g).solve_detailed(quotient())
-        assert len(det.walks_used) == 1
+        assert len(det.combine.walks_used) == 1
         assert det.result.value == brute_force_cut(g, quotient()).best.value
     print("criterion 2 (20 random planar embeddings, oracle match, r = 1): PASS")
 
@@ -166,7 +166,7 @@ def _random_fraction(rng, lo, hi):
 
 def test_criterion_7_balance_inequalities():
     rng = random.Random(7)
-    for f in (quotient(), density(), expansion(), CUSTOM):
+    for f in (quotient(), density(), make_balance("expansion"), CUSTOM):
         done = 0
         while done < 1000:
             xs = [_random_fraction(rng, -1, 1) for _ in range(rng.randrange(2, 5))]

@@ -8,7 +8,6 @@ from surfcut.balance import (
     BalanceError,
     BalanceFunction,
     density,
-    expansion,
     make_balance,
     parse_custom,
     quotient,
@@ -17,7 +16,13 @@ from surfcut.balance import (
 rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 CUSTOM = parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")
-ALL_FUNCS = [quotient(), density(), expansion(), CUSTOM]
+# keyed by the spec string: 'expansion' builds the quotient function
+ALL_FUNCS = {
+    "quotient": quotient(),
+    "density": density(),
+    "expansion": make_balance("expansion"),
+    "custom": CUSTOM,
+}
 
 
 def test_builtin_values():
@@ -28,7 +33,7 @@ def test_builtin_values():
     d = density()
     assert d(Fraction(1, 4)) == Fraction(3, 16)
     assert d(Fraction(1, 2)) == Fraction(1, 4)
-    assert expansion()(Fraction(2, 5)) == Fraction(2, 5)
+    assert make_balance("expansion")(Fraction(2, 5)) == Fraction(2, 5)
 
 
 def test_custom_interpolation():
@@ -47,21 +52,21 @@ def test_custom_constant_extension():
     assert f(Fraction(0)) == Fraction(1, 8)
 
 
-@pytest.mark.parametrize("f", ALL_FUNCS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("f", list(ALL_FUNCS.values()), ids=list(ALL_FUNCS))
 @settings(max_examples=100, deadline=None)
 @given(x=rationals01)
 def test_symmetry(f, x):
     assert f(x) == f(1 - x)
 
 
-@pytest.mark.parametrize("f", ALL_FUNCS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("f", list(ALL_FUNCS.values()), ids=list(ALL_FUNCS))
 @settings(max_examples=100, deadline=None)
 @given(x=rationals01, y=rationals01)
 def test_midpoint_concavity(f, x, y):
     assert f((x + y) / 2) >= (f(x) + f(y)) / 2
 
 
-@pytest.mark.parametrize("f", ALL_FUNCS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("f", list(ALL_FUNCS.values()), ids=list(ALL_FUNCS))
 @settings(max_examples=100, deadline=None)
 @given(
     x=st.fractions(min_value=-1, max_value=1, max_denominator=64),
@@ -116,7 +121,7 @@ def test_all_zero_profile_rejected():
 def test_make_balance(tmp_path):
     assert make_balance("quotient").kind == "quotient"
     assert make_balance("density").kind == "density"
-    assert make_balance("expansion").kind == "expansion"
+    assert make_balance("expansion") == quotient()
     p = tmp_path / "f.txt"
     p.write_text("0 0\n1/2 1/2\n", encoding="utf-8")
     f = make_balance(f"custom:{p}")

@@ -149,7 +149,6 @@ def test_oracle_disagreement_exits_3(monkeypatch, capsys):
         report = real(g, f, cap)
         fake = CutResult(
             S=report.best.S,
-            cut_edges=report.best.cut_edges,
             cut_size=report.best.cut_size,
             balance=report.best.balance,
             value=report.best.value + Fraction(1),

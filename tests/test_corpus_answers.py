@@ -13,13 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from surfcut.balance import density, expansion, parse_custom, quotient
+from surfcut.balance import density, make_balance, parse_custom, quotient
 
 DATA = Path(__file__).resolve().parent / "data" / "corpus_answers.json"
 PROFILES = {
     "quotient": quotient(),
     "density": density(),
-    "expansion": expansion(),
+    "expansion": make_balance("expansion"),
     "custom": parse_custom("0 0\n1/4 1/3\n1/2 1/2\n"),
 }
 ANSWERS = json.loads(DATA.read_text(encoding="utf-8"))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from surfcut.balance import density, expansion, parse_custom, quotient
+from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import random_planar
 from surfcut.oracle import (
     brute_force_cut,
@@ -78,7 +78,7 @@ def test_brute_force_matches_plain_scoring(corpus_graphs, corpus_contexts):
     # the definition restated: score every side holding vertex 0 on its own,
     # take the sort_key minimum, then the first tied side whose two halves
     # are both connected
-    profiles = [quotient(), density(), expansion(), parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")]
+    profiles = [quotient(), density(), make_balance("expansion"), parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")]
     graphs = list(corpus_graphs.values()) + [
         random_planar(12, 2, seed=5),
         random_planar(12, 4, seed=6),

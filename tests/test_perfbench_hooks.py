@@ -39,3 +39,21 @@ def test_combine_positional_order():
     solver = importlib.import_module("surfcut.solver")
     params = list(inspect.signature(solver.combine_and_minimize).parameters)
     assert params == ["cover", "system", "f", "n", "m"]
+
+
+def test_counted_fields_exist(corpus_contexts):
+    # the counters read these with getattr(..., default), so a renamed field
+    # would count 0 instead of failing
+    solver = importlib.import_module("surfcut.solver")
+    oracle = importlib.import_module("surfcut.oracle")
+    balance = importlib.import_module("surfcut.balance")
+    ctx = corpus_contexts["k4_torus"]
+    f = balance.quotient()
+    cover = solver.shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops)
+    assert hasattr(cover, "states_per_start") and hasattr(cover, "walks")
+    for walk in cover.walks.values():
+        assert hasattr(walk, "length")
+        assert hasattr(walk.chain, "is_zero") and hasattr(walk.chain, "size")
+    comb = solver.combine_and_minimize(cover, ctx.loops, f, ctx.g.n, ctx.g.m)
+    assert hasattr(comb, "candidates")
+    assert hasattr(oracle.brute_force_cut(ctx.g, f), "all_values")

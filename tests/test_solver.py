@@ -18,7 +18,6 @@ from surfcut.solver import (
     SolverError,
     balance_peak,
     combine_and_minimize,
-    cut_upper_bound,
     recover_cut,
     score_cut,
     solve,
@@ -75,6 +74,13 @@ def test_score_cut_rejects_trivial_sides(corpus_graphs):
         score_cut(g, [], quotient())
     with pytest.raises(ValueError):
         score_cut(g, range(g.n), quotient())
+
+
+@pytest.mark.parametrize("v", [-1, 4], ids=["minus-1", "n"])
+def test_score_cut_rejects_vertices_outside_the_graph(v, corpus_graphs):
+    # -1 would index the last vertex and n past the end
+    with pytest.raises(ValueError, match="out of range"):
+        score_cut(corpus_graphs["k4"], [v], quotient())
 
 
 @pytest.mark.parametrize("name", ["k4", "c5", "k5_torus", "c4_doubled_g2"])
@@ -135,7 +141,7 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
 @pytest.mark.parametrize("name", ["p4", "c6", "k4", "apollonian7"])
 def test_planar_combinations_use_one_walk(name, corpus_contexts):
     det = corpus_contexts[name].solve_detailed(quotient())
-    assert len(det.walks_used) == 1
+    assert len(det.combine.walks_used) == 1
 
 
 def test_recover_cut_picks_cheapest_level():
@@ -162,8 +168,8 @@ def test_recover_cut_rejects_zero_chain(corpus_graphs):
 def test_chain_value_equals_cut_value(corpus_contexts):
     for name in ("c5", "k4", "k33_torus", "series33_g2"):
         det = corpus_contexts[name].solve_detailed(density())
-        assert det.sigma_value == det.result.value
-        assert det.sigma.size == det.result.cut_size
+        assert det.combine.value == det.result.value
+        assert det.combine.sigma.size == det.result.cut_size
 
 
 @pytest.mark.parametrize("name", ["c5", "k4", "k5_torus", "c4_doubled_g2"])
@@ -235,7 +241,8 @@ EXTRA_GRAPHS = {"grid_torus_3x4": grid_torus(3, 4)}
 @pytest.mark.parametrize("name", ["k4", "star5", "c7", "k5_torus", "k5_g2", "grid_torus_3x4"])
 def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
     g = EXTRA_GRAPHS[name] if name in EXTRA_GRAPHS else corpus_graphs[name]
-    w = SolveContext(g).weight
+    ctx = SolveContext(g)
+    w = ctx.weight
     # the positive dart of a tree edge enters the subtree it weighs
     subtrees = [
         _tree_side(g, w.tree_edges, e, g.heads[2 * e] if w.values[e] > 0 else g.tails[2 * e])
@@ -245,7 +252,7 @@ def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
     balls = [_bfs_tree(g, r)[1][:k] for r in range(g.n) for k in range(1, g.n)]
     for f in (quotient(), density(), CUSTOM):
         want = min(score_cut(g, S, f).value for S in subtrees + balls)
-        assert cut_upper_bound(g, f) == want
+        assert ctx.upper_bound(f) == want
         assert brute_force_cut(g, f).best.value <= want
 
 

@@ -105,7 +105,8 @@ def test_bounded_solve_matches_unbounded(name, contexts):
         depth = det.cover.depth_cap
         assert 1 <= depth <= g.m
         value, size, coeffs, chain = unbounded_best(full, ctx.genus, f, g.n, g.m)
-        assert (det.sigma_value, det.sigma.size, det.sigma.coeffs) == (value, size, coeffs), label
+        comb = det.combine
+        assert (comb.value, comb.sigma.size, comb.sigma.coeffs) == (value, size, coeffs), label
         assert det.result == recover_cut(g, chain, f), label
         shallow = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
         assert shallow.depth_cap == depth
