@@ -93,7 +93,10 @@ def density() -> BalanceFunction:
 
 
 def parse_custom(text: str) -> BalanceFunction:
-    """Parse breakpoint lines 'x_num/x_den y_num/y_den' into a custom function."""
+    """Parse breakpoint lines 'x y' into a custom function.
+
+    Each of x and y is p/q, an integer or a decimal; exponents are refused.
+    """
     bps = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -102,6 +105,11 @@ def parse_custom(text: str) -> BalanceFunction:
         parts = line.split()
         if len(parts) != 2:
             raise BalanceError(f"bad breakpoint line {raw!r}")
+        # Fraction("1e999999999") would build a billion-digit integer
+        if "e" in line.lower():
+            raise BalanceError(
+                f"bad rational in line {raw!r}: write p/q, an integer or a decimal, no exponent"
+            )
         try:
             x, y = Fraction(parts[0]), Fraction(parts[1])
         except (ValueError, ZeroDivisionError):

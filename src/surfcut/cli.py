@@ -56,9 +56,7 @@ def run(cfg: argparse.Namespace) -> int:
         # restrict it instead of running the cover a second time
         table = ctx.cover if cfg.dump_walks_path else None
         r = ctx.solve(f)
-        report = None
-        if cfg.oracle:
-            report = brute_force_cut(g, f)
+        report = brute_force_cut(g, f) if cfg.oracle else None
     except (EmbeddingError, BalanceError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -75,29 +73,22 @@ def run(cfg: argparse.Namespace) -> int:
 
     agree = report is not None and report.best.value == r.value
 
+    fields = {
+        "genus": ctx.genus,
+        "f": cfg.f,
+        "value": _frac(r.value),
+        "cut_size": r.cut_size,
+        "balance": _frac(r.balance),
+        "expansion": _frac(r.expansion),
+    }
     if cfg.as_json:
-        payload = {
-            "genus": ctx.genus,
-            "f": cfg.f,
-            "value": _frac(r.value),
-            "cut_size": r.cut_size,
-            "balance": _frac(r.balance),
-            "expansion": _frac(r.expansion),
-            "S": list(r.S),
-        }
+        fields["S"] = list(r.S)
         if report is not None:
-            payload["oracle_value"] = _frac(report.best.value)
-            payload["agree"] = agree
-        print(json.dumps(payload))
+            fields["oracle_value"] = _frac(report.best.value)
+            fields["agree"] = agree
+        print(json.dumps(fields))
     else:
-        lines = [
-            f"genus: {ctx.genus}",
-            f"f: {cfg.f}",
-            f"value: {_frac(r.value)}",
-            f"cut_size: {r.cut_size}",
-            f"balance: {_frac(r.balance)}",
-            f"expansion: {_frac(r.expansion)}",
-        ]
+        lines = [f"{key}: {value}" for key, value in fields.items()]
         if cfg.f == "expansion":
             lines.append(
                 f"identity: value = n * expansion ({_frac(r.value)} = {g.n} * {_frac(r.expansion)})"

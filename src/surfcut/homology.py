@@ -1,17 +1,17 @@
 """Balance weights and homology coordinates for chains.
 
-Both structures hang off the same primal BFS tree.  The weight of a tree
-dart parent->child is the size of the child's subtree, so that the weight of
-any cut chain with the root inside equals the size of the far side.  The
-loops are the fundamental cycles of the 2g edges left over after growing a
-spanning cotree in the dual, and the theta map counts signed crossings of a
-chain with each loop.  Primal and dual darts share ids, so both maps read a
-dual chain directly.
+Both structures hang off one primal BFS tree, which build_weight grows and
+keeps in the WeightFunction.  The weight of a tree dart parent->child is the
+size of the child's subtree, so that the weight of any cut chain with the
+root inside equals the size of the far side.  build_loop_system reads the
+tree from the weight, grows a spanning cotree in the dual, and takes the
+loops through the 2g edges left over; the theta map counts signed crossings
+of a chain with each loop.  Primal and dual darts share ids, so both maps
+read a dual chain directly.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from surfcut.dual import DualGraph, IntegerChain
@@ -21,8 +21,9 @@ from surfcut.embedding import EmbeddedGraph, EmbeddingError, genus
 def _bfs_tree(g: EmbeddedGraph, root: int):
     """Deterministic BFS tree: FIFO queue, darts scanned in ascending id.
 
-    Returns (parent_dart, order, tree_edges) where parent_dart[v] is the
-    dart parent->v (-1 at the root) and order lists vertices by discovery.
+    Returns (parent_dart, order) where parent_dart[v] is the dart parent->v
+    (-1 at the root) and order lists vertices by discovery.  Every
+    EmbeddedGraph is connected, so order holds all of them.
     """
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range")
@@ -30,33 +31,33 @@ def _bfs_tree(g: EmbeddedGraph, root: int):
     seen = [False] * g.n
     seen[root] = True
     order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    for v in order:
         for d in g.out_darts[v]:
             u = g.heads[d]
             if not seen[u]:
                 seen[u] = True
                 parent_dart[u] = d
                 order.append(u)
-                queue.append(u)
-    if not all(seen):
-        raise EmbeddingError("graph is not connected")
-    tree_edges = frozenset((parent_dart[v]) >> 1 for v in range(g.n) if v != root)
-    return tuple(parent_dart), tuple(order), tree_edges
+    return tuple(parent_dart), tuple(order)
 
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Antisymmetric edge weights measuring cut balance.
+    """Antisymmetric edge weights measuring cut balance, and their BFS tree.
 
-    values[i] lives on dart 2i.  Nonzero only on tree_edges, the edges of
-    the BFS tree, where the dart pointing away from the root carries the
-    size of the subtree it enters.
+    parent_dart[v] is the tree dart parent->v (-1 at the root, order[0]) and
+    order lists the vertices in BFS order.  values[i] lives on dart 2i.
+    Nonzero only on tree_edges, where the dart pointing away from the root
+    carries the size of the subtree it enters.
     """
 
     values: tuple[int, ...]
-    tree_edges: frozenset[int]
+    parent_dart: tuple[int, ...]
+    order: tuple[int, ...]
+
+    @property
+    def tree_edges(self) -> frozenset[int]:
+        return frozenset(d >> 1 for d in self.parent_dart if d != -1)
 
     def dart_value(self, d: int) -> int:
         v = self.values[d >> 1]
@@ -67,18 +68,14 @@ class WeightFunction:
 
 
 def build_weight(g: EmbeddedGraph, root: int = 0) -> WeightFunction:
-    parent_dart, order, tree_edges = _bfs_tree(g, root)
+    parent_dart, order = _bfs_tree(g, root)
     subtree = [1] * g.n
-    for v in reversed(order):
-        if parent_dart[v] != -1:
-            subtree[g.tails[parent_dart[v]]] += subtree[v]
     values = [0] * g.m
-    for v in range(g.n):
+    for v in reversed(order[1:]):
         d = parent_dart[v]
-        if d == -1:
-            continue
+        subtree[g.tails[d]] += subtree[v]
         values[d >> 1] = subtree[v] if d % 2 == 0 else -subtree[v]
-    return WeightFunction(values=tuple(values), tree_edges=tree_edges)
+    return WeightFunction(values=tuple(values), parent_dart=parent_dart, order=order)
 
 
 @dataclass(frozen=True)
@@ -116,41 +113,35 @@ class LoopSystem:
         return tuple(out)
 
 
-def _tree_walk(parent_dart, tails, a: int, b: int) -> list[int]:
-    """Darts of the tree path a -> b (climb to the lca, descend to b)."""
-    anc_a = [a]
-    v = a
-    while parent_dart[v] != -1:
-        v = tails[parent_dart[v]]
-        anc_a.append(v)
-    index_a = {v: i for i, v in enumerate(anc_a)}
-    down = []
-    v = b
-    while v not in index_a:
-        d = parent_dart[v]
-        down.append(d)
-        v = tails[d]
-    up = [parent_dart[u] ^ 1 for u in anc_a[: index_a[v]]]
-    return up + down[::-1]
+def _via_root(parent_dart, tails, a: int, b: int) -> list[int]:
+    """Darts of the tree walk a -> root -> b (a tree path when a or b is the root)."""
+
+    def up(v: int):
+        while parent_dart[v] != -1:
+            yield parent_dart[v] ^ 1
+            v = tails[parent_dart[v]]
+
+    return [*up(a), *(d ^ 1 for d in reversed([*up(b)]))]
 
 
-def build_loop_system(g: EmbeddedGraph, dual: DualGraph, root: int = 0) -> LoopSystem:
+def build_loop_system(g: EmbeddedGraph, dual: DualGraph, w: WeightFunction) -> LoopSystem:
     """Split the edges into tree, cotree and 2g leftover edges, and build loops.
 
-    Uses the same BFS tree as build_weight (same root, same traversal), then
-    grows a spanning tree of the dual avoiding primal tree edges.  Exactly 2g
-    edges remain; their fundamental cycles in the primal tree are the loops.
+    Reads the primal BFS tree from the weight w, then grows a spanning tree
+    of the dual avoiding its edges.  Exactly 2g edges remain; their
+    fundamental cycles in the primal tree, closed at the root w.order[0],
+    are the loops.  A companion runs through the root of the dual tree; the
+    stretch it shares with the tree path cancels in its chain.
     """
-    parent_dart, _, tree_edges = _bfs_tree(g, root)
+    parent_dart, root, tree_edges = w.parent_dart, w.order[0], w.tree_edges
     dg = dual.graph
     g_genus = genus(g, dual.primal_faces)
 
     dual_parent = [-1] * dg.n
     seen = [False] * dg.n
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        f = queue.popleft()
+    queue = [0]
+    for f in queue:
         for d in dg.out_darts[f]:
             if (d >> 1) in tree_edges:
                 continue
@@ -171,23 +162,22 @@ def build_loop_system(g: EmbeddedGraph, dual: DualGraph, root: int = 0) -> LoopS
 
     loops = []
     loop_chains = []
+    companions = []
     for e in leftover:
         d = 2 * e
-        walk = _tree_walk(parent_dart, g.tails, root, g.tails[d])
-        walk.append(d)
-        walk += _tree_walk(parent_dart, g.tails, g.heads[d], root)
-        loops.append(tuple(walk))
-        loop_chains.append(IntegerChain.of_walk(g.m, tuple(walk)))
+        walk = tuple(
+            _via_root(parent_dart, g.tails, root, g.tails[d])
+            + [d]
+            + _via_root(parent_dart, g.tails, g.heads[d], root)
+        )
+        loops.append(walk)
+        loop_chains.append(IntegerChain.of_walk(g.m, walk))
+        cwalk = [d] + _via_root(dual_parent, dg.tails, dg.heads[d], dg.tails[d])
+        companions.append(IntegerChain.of_walk(g.m, tuple(cwalk)))
 
     theta_rows = tuple(
         tuple(lc.coeffs[i] for lc in loop_chains) for i in range(g.m)
     )
-
-    companions = []
-    for e in leftover:
-        d = 2 * e
-        cwalk = [d] + _tree_walk(dual_parent, dg.tails, dg.heads[d], dg.tails[d])
-        companions.append(IntegerChain.of_walk(g.m, tuple(cwalk)))
 
     return LoopSystem(
         genus=g_genus,

@@ -31,7 +31,7 @@ from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, restrict, shortest_tagged_walks
 from surfcut.dual import DualGraph, IntegerChain, build_dual, cut_chain
 from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
-from surfcut.homology import LoopSystem, WeightFunction, _bfs_tree, build_loop_system, build_weight
+from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight
 
 
 class SolverError(RuntimeError):
@@ -84,10 +84,10 @@ def balance_peak(f: BalanceFunction, n: int) -> Fraction:
     return f(Fraction(n // 2, n))
 
 
-def fewest_cut_edges(g: EmbeddedGraph, root: int = 0) -> dict[int, int]:
+def fewest_cut_edges(g: EmbeddedGraph, w: WeightFunction) -> dict[int, int]:
     """min(|S|, n-|S|) -> the fewest cut edges among the known sides S.
 
-    The known sides are the n - 1 subtree sides of the weight tree at root
+    The known sides are the n - 1 subtree sides of the tree of the weight w
     and the BFS balls: from every vertex r, the first k vertices of the BFS
     from r, k = 1 .. n-1 (k = 1 gives the single-vertex sides).  A ball
     grows one vertex v at a time and its cut changes by deg(v) - 2 e(v, S).
@@ -103,15 +103,14 @@ def fewest_cut_edges(g: EmbeddedGraph, root: int = 0) -> dict[int, int]:
             fewest[k] = cut
 
     # sides as bit masks; below[v] grows into the subtree of v
-    parent_dart, order, _ = _bfs_tree(g, root)
     ends = list(zip(g.tails[::2], g.heads[::2]))
     below = [1 << v for v in range(n)]
-    for v in reversed(order[1:]):
+    for v in reversed(w.order[1:]):
         S = below[v]
         keep(S.bit_count(), sum((S >> a ^ S >> b) & 1 for a, b in ends))
-        below[g.tails[parent_dart[v]]] |= S
+        below[g.tails[w.parent_dart[v]]] |= S
 
-    # the BFS of _bfs_tree (FIFO, darts ascending); when v is scanned, the
+    # the BFS of build_weight (FIFO, darts ascending); when v is scanned, the
     # ball is the vertices ranked before it, so e(v, S) counts the
     # neighbours of lower rank
     nbrs = [[g.heads[d] for d in ds] for ds in g.out_darts]
@@ -284,7 +283,8 @@ class SolveContext:
 
     Faces, dual, weights, loops, the fewest cut edges behind U and the walk
     table depend only on the graph and the root, so solving for several
-    balance functions reuses them.
+    balance functions reuses them.  The weight holds the one BFS tree that
+    the loops and the subtree cuts behind U read.
     The context keeps the deepest walk table it has built and answers any
     depth up to it by restricting that table.
     """
@@ -312,11 +312,11 @@ class SolveContext:
 
     @cached_property
     def loops(self) -> LoopSystem:
-        return build_loop_system(self.g, self.dual, self.root)
+        return build_loop_system(self.g, self.dual, self.weight)
 
     @cached_property
     def fewest_cut_edges(self) -> dict[int, int]:
-        return fewest_cut_edges(self.g, self.root)
+        return fewest_cut_edges(self.g, self.weight)
 
     def upper_bound(self, f: BalanceFunction) -> Fraction:
         """U for f, from the cached fewest cut edges: one f call per side size."""

@@ -102,6 +102,10 @@ def test_validation_errors():
         parse_custom("0 0 extra\n")
     with pytest.raises(BalanceError, match="rational"):
         parse_custom("0 zero\n")
+    with pytest.raises(BalanceError, match="bad rational in line '1/2 1e3': .*no exponent"):
+        parse_custom("0 0\n1/2 1e3\n")
+    with pytest.raises(BalanceError, match="no exponent"):
+        parse_custom("0 0\n1E-1 1/2\n")
     with pytest.raises(BalanceError, match="at least one"):
         parse_custom("# only comments\n")
     with pytest.raises(BalanceError, match="takes no breakpoints"):

@@ -142,6 +142,17 @@ def test_all_zero_custom_profile_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_exponent_in_custom_profile_exits_1(tmp_path, capsys):
+    p = tmp_path / "exp.txt"
+    p.write_text("0 0\n1/2 1e3\n", encoding="utf-8")
+    assert run_cli(str(CORPUS_DIR / "k4.emb"), "--f", f"custom:{p}") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: bad rational in line '1/2 1e3': write p/q, an integer or a decimal, no exponent\n"
+    )
+
+
 def test_oracle_disagreement_exits_3(monkeypatch, capsys):
     real = cli.brute_force_cut
 

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +11,17 @@ from surfcut.dual import build_dual
 from surfcut.homology import build_loop_system, build_weight
 from surfcut.oracle import enumerate_closed_walks
 
+# sha256 of dump_walks(ctx.cover) per corpus instance, in manifest order; the
+# full walk table does not depend on the balance function
+WALK_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "corpus_walk_digests.json").read_text(encoding="utf-8")
+)
+
 
 def pipeline(g, root=0):
     dual = build_dual(g)
     w = build_weight(g, root)
-    system = build_loop_system(g, dual, root)
+    system = build_loop_system(g, dual, w)
     return dual, w, system
 
 
@@ -138,3 +147,13 @@ def test_ties_go_to_the_smallest_dart_sequence(corpus_contexts):
                 assert (walk.length, walk.darts) == smallest[key], (name, key)
         checked += 1
     assert checked >= 10
+
+
+def test_every_corpus_walk_table_is_pinned(manifest):
+    assert list(WALK_DIGESTS) == [item["name"] for item in manifest]
+
+
+@pytest.mark.parametrize("name", list(WALK_DIGESTS))
+def test_corpus_walk_tables_frozen(name, corpus_contexts):
+    dump = dump_walks(corpus_contexts[name].cover)
+    assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == WALK_DIGESTS[name]

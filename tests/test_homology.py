@@ -67,8 +67,9 @@ def test_cut_weight_random_planar(seed, subset_bits):
 )
 def test_loop_counts(g, expect):
     dual = build_dual(g)
-    system = build_loop_system(g, dual)
-    tree_edges = build_weight(g).tree_edges
+    w = build_weight(g)
+    system = build_loop_system(g, dual, w)
+    tree_edges = w.tree_edges
     assert system.genus == expect
     assert len(system.loops) == 2 * expect
     assert len(system.leftover_edges) == 2 * expect
@@ -80,18 +81,19 @@ def test_loop_counts(g, expect):
 
 def test_loops_are_closed_at_root():
     dual = build_dual(TORUS_K5)
-    system = build_loop_system(TORUS_K5, dual, root=0)
-    for walk in system.loops:
-        assert TORUS_K5.tails[walk[0]] == 0
-        assert TORUS_K5.heads[walk[-1]] == 0
-        for a, b in zip(walk, walk[1:]):
-            assert TORUS_K5.heads[a] == TORUS_K5.tails[b]
+    for root in (0, 3):
+        system = build_loop_system(TORUS_K5, dual, build_weight(TORUS_K5, root))
+        for walk in system.loops:
+            assert TORUS_K5.tails[walk[0]] == root
+            assert TORUS_K5.heads[walk[-1]] == root
+            for a, b in zip(walk, walk[1:]):
+                assert TORUS_K5.heads[a] == TORUS_K5.tails[b]
 
 
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2, grid_torus(3, 3)], ids=["k5", "banana25", "grid33"])
 def test_theta_vanishes_on_dual_faces(g):
     dual = build_dual(g)
-    system = build_loop_system(g, dual)
+    system = build_loop_system(g, dual, build_weight(g))
     zero = (0,) * (2 * system.genus)
     for walk in trace_faces(dual.graph).facial_walks:
         assert system.theta(IntegerChain.of_walk(g.m, walk)) == zero
@@ -100,7 +102,7 @@ def test_theta_vanishes_on_dual_faces(g):
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2], ids=["k5", "banana25"])
 def test_theta_vanishes_on_cuts(g):
     dual = build_dual(g)
-    system = build_loop_system(g, dual)
+    system = build_loop_system(g, dual, build_weight(g))
     zero = (0,) * (2 * system.genus)
     rng = random.Random(3)
     for _ in range(40):
@@ -111,7 +113,7 @@ def test_theta_vanishes_on_cuts(g):
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2, grid_torus(3, 3)], ids=["k5", "banana25", "grid33"])
 def test_companions_cross_their_own_loop_once(g):
     dual = build_dual(g)
-    system = build_loop_system(g, dual)
+    system = build_loop_system(g, dual, build_weight(g))
     for j, comp in enumerate(system.companions):
         t = system.theta(comp)
         assert abs(t[j]) == 1
@@ -120,7 +122,7 @@ def test_companions_cross_their_own_loop_once(g):
 
 def test_theta_dart_antisymmetry():
     dual = build_dual(TORUS_K5)
-    system = build_loop_system(TORUS_K5, dual)
+    system = build_loop_system(TORUS_K5, dual, build_weight(TORUS_K5))
     for d in range(TORUS_K5.num_darts):
         plus = system.theta_dart(d)
         minus = system.theta_dart(d ^ 1)
@@ -130,7 +132,7 @@ def test_theta_dart_antisymmetry():
 def test_planar_loop_system_is_empty():
     g = find_embedding(4, complete_edges(4), 0)
     dual = build_dual(g)
-    system = build_loop_system(g, dual)
+    system = build_loop_system(g, dual, build_weight(g))
     assert system.genus == 0
     assert system.loops == ()
     assert system.theta(cut_chain(g, {0})) == ()

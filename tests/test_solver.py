@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from surfcut import solver
+from surfcut import homology, solver
 from surfcut.balance import density, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders, grid_torus
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import mirror_image
-from surfcut.homology import _bfs_tree
+from surfcut.homology import build_weight
 from surfcut.oracle import brute_force_cut
 from surfcut.solver import (
     SolveContext,
@@ -221,6 +221,21 @@ def test_solver_errors_name_the_instance(corpus_graphs, monkeypatch):
     )
 
 
+def test_one_bfs_tree_per_context(corpus_graphs, monkeypatch):
+    # the weight grows the primal tree; the loops and U read it from there
+    roots = []
+    build = homology._bfs_tree
+
+    def counted(g, root):
+        roots.append(root)
+        return build(g, root)
+
+    monkeypatch.setattr(homology, "_bfs_tree", counted)
+    monkeypatch.setattr(solver, "_bfs_tree", counted, raising=False)
+    SolveContext(corpus_graphs["k5_g2"], 2).solve(quotient())
+    assert roots == [2]
+
+
 def _tree_side(g, tree_edges, e, start):
     """Vertices joined to `start` by tree edges other than e."""
     seen, stack = {start}, [start]
@@ -249,7 +264,7 @@ def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
         for e in w.tree_edges
     ]
     # the first k vertices of the BFS from r; k = 1 gives the single vertices
-    balls = [_bfs_tree(g, r)[1][:k] for r in range(g.n) for k in range(1, g.n)]
+    balls = [build_weight(g, r).order[:k] for r in range(g.n) for k in range(1, g.n)]
     for f in (quotient(), density(), CUSTOM):
         want = min(score_cut(g, S, f).value for S in subtrees + balls)
         assert ctx.upper_bound(f) == want
