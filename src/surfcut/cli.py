@@ -13,9 +13,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from surfcut.balance import BalanceError, make_balance
+from surfcut.balance import make_balance
 from surfcut.cover import dump_walks
-from surfcut.embedding import EmbeddingError, parse_embedding
+from surfcut.embedding import parse_embedding
 from surfcut.oracle import brute_force_cut
 from surfcut.solver import SolveContext, SolverError
 
@@ -49,15 +49,13 @@ def run(cfg: argparse.Namespace) -> int:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
         g = parse_embedding(text)
         f = make_balance(cfg.f)
-        if not (0 <= cfg.root < g.n):
-            raise ValueError(f"root {cfg.root} out of range for {g.n} vertices")
         ctx = SolveContext(g, cfg.root)
         # the dump needs the full table; building it first lets the solve
         # restrict it instead of running the cover a second time
         table = ctx.cover if cfg.dump_walks_path else None
         r = ctx.solve(f)
         report = brute_force_cut(g, f) if cfg.oracle else None
-    except (EmbeddingError, BalanceError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SolverError as e:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from surfcut.dual import DualGraph, IntegerChain
+from surfcut.dual import IntegerChain
+from surfcut.embedding import EmbeddedGraph
 from surfcut.homology import LoopSystem, WeightFunction
 
 
@@ -51,51 +52,41 @@ class CoverResult:
 
     The other fields account for the search that built the table, which for
     a restricted table went deeper: states_per_start has one entry per start
-    dart, the states its run visited, and face_count, k_bound and v_bounds
-    span the state space that bounds every run.
+    dart, the states its run visited, and state_space_bound is the size of
+    the covering state space V' x [-K..K] x prod [-Vj..Vj] that bounds every
+    run.
     """
 
     walks: dict[tuple[int, tuple[int, ...]], TaggedWalk]
     depth_cap: int
-    k_bound: int
-    v_bounds: tuple[int, ...]
-    face_count: int
+    state_space_bound: int
     states_per_start: tuple[int, ...]
 
     @property
     def max_states(self) -> int:
         return max(self.states_per_start)
 
-    @property
-    def state_space_bound(self) -> int:
-        """Size of the covering state space V' x [-K..K] x prod [-Vj..Vj]."""
-        bound = self.face_count * (2 * self.k_bound + 1)
-        for vb in self.v_bounds:
-            bound *= 2 * vb + 1
-        return bound
-
 
 def shortest_tagged_walks(
-    dual: DualGraph, w: WeightFunction, system: LoopSystem, depth: int | None = None
+    dual: EmbeddedGraph, w: WeightFunction, system: LoopSystem, depth: int
 ) -> CoverResult:
     """BFS the covering of the dual once per start dart and merge.
 
-    Walks have at most `depth` darts (default: the edge count m).  The
-    stored walk of a tag is the lexicographically smallest of its shortest
-    closed walks.  That set is closed under rotation, so its smallest member
-    starts with its own smallest dart d0 and uses no dart below it.  The run
-    from d0 expands darts >= d0 in ascending order with a FIFO frontier, so
-    the first path recorded for a state is the lexicographically smallest
-    shortest one, and the run finds that walk.
+    Walks have at most `depth` darts, and n, the primal vertex count, is the
+    length of the weight's BFS order.  The stored walk of a tag is the
+    lexicographically smallest of its shortest closed walks.  That set is
+    closed under rotation, so its smallest member starts with its own
+    smallest dart d0 and uses no dart below it.  The run from d0 expands
+    darts >= d0 in ascending order with a FIFO frontier, so the first path
+    recorded for a state is the lexicographically smallest shortest one, and
+    the run finds that walk.  Runs go by ascending d0, so the merge keeps
+    the first walk of the shortest length it meets for a tag.
     """
-    dg = dual.graph
-    m = dg.m
-    if depth is None:
-        depth = m
-    n = dual.primal.n
-    faces = dg.n
-    tails = dg.tails
-    nd = dg.num_darts
+    m = dual.m
+    n = len(w.order)
+    faces = dual.n
+    tails = dual.tails
+    nd = dual.num_darts
     weights = [w.dart_value(d) for d in range(nd)]
     thetas = [system.theta_dart(d) for d in range(nd)]
 
@@ -113,12 +104,12 @@ def shortest_tagged_walks(
         radix.append(radix[-1] * size)
     offset = sum(r * b for r, b in zip(radix, (k_bound, *v_bounds)))
     step = [
-        dg.heads[d] - tails[d] + sum(r * x for r, x in zip(radix, (weights[d], *thetas[d])))
+        dual.heads[d] - tails[d] + sum(r * x for r, x in zip(radix, (weights[d], *thetas[d])))
         for d in range(nd)
     ]
     # moves[u]: (step, dart) for the darts leaving u that the current run may
     # use, ascending; each run drops its start dart when it is done
-    moves = [[(step[d], d) for d in ds] for ds in dg.out_darts]
+    moves = [[(step[d], d) for d in ds] for ds in dual.out_darts]
 
     best: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {(0, (0,) * len(v_bounds)): ()}
     states_per_start = []
@@ -160,7 +151,10 @@ def shortest_tagged_walks(
                 coords.append(r - bound)
             key = (coords[0], tuple(coords[1:]))
             cur = best.get(key)
-            if cur is None or (len(darts), darts) < (len(cur), cur):
+            # a walk stored by an earlier run starts with a smaller dart, and
+            # one run reaches each tag at most once, so at equal length the
+            # stored walk is the lexicographically smaller one
+            if cur is None or len(darts) < len(cur):
                 best[key] = darts
 
     walks = {
@@ -170,9 +164,7 @@ def shortest_tagged_walks(
     return CoverResult(
         walks=walks,
         depth_cap=depth,
-        k_bound=k_bound,
-        v_bounds=v_bounds,
-        face_count=faces,
+        state_space_bound=radix[-1] * sizes[-1],
         states_per_start=tuple(states_per_start),
     )
 

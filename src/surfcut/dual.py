@@ -1,7 +1,8 @@
 """Geometric dual of an embedded graph, and integer chains on darts.
 
-The dual reuses the primal dart indices: dual dart d runs from the face left
-of primal dart d to the face on its right, so the dual of edge i is edge i.
+The dual is a plain EmbeddedGraph, loops allowed, with one vertex per face.
+It reuses the primal dart indices: dual dart d runs from the face left of
+primal dart d to the face on its right, so the dual of edge i is edge i.
 A chain assigns an integer to every dart subject to antisymmetry under twin,
 stored as one coefficient per edge (on the even dart).  Because the darts
 share ids, a dual chain is the primal chain with the same coefficients.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
+from surfcut.embedding import EmbeddedGraph, FaceStructure
 
 
 @dataclass(frozen=True)
@@ -52,35 +53,24 @@ class IntegerChain:
         return IntegerChain(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Dual of a face structure; dual dart d is primal dart d.
+def build_dual(g: EmbeddedGraph, faces: FaceStructure) -> EmbeddedGraph:
+    """The dual of g: one vertex per face of `faces`, dual dart d is primal dart d.
 
-    `graph` has one vertex per primal face.  Its rotation is the inverse of
-    the primal face permutation: crossing the edges around a face in the
-    reverse of boundary-walk order turns the facial walks of the dual into
-    the vertex stars of the primal, which is what makes the dual of the dual
-    the original map (with all darts reversed).
+    Its rotation is the inverse of the primal face permutation: crossing the
+    edges around a face in the reverse of boundary-walk order turns the
+    facial walks of the dual into the vertex stars of the primal, which is
+    what makes the dual of the dual the original map (with all darts
+    reversed).
     """
-
-    primal: EmbeddedGraph
-    primal_faces: FaceStructure
-    graph: EmbeddedGraph
-
-
-def build_dual(g: EmbeddedGraph, faces: FaceStructure | None = None) -> DualGraph:
-    if faces is None:
-        faces = trace_faces(g)
     nd = g.num_darts
     tails = tuple(faces.face_of[d] for d in range(nd))
     heads = tuple(faces.face_of[d ^ 1] for d in range(nd))
     phi_inv = [0] * nd
     for d in range(nd):
         phi_inv[g.rotation[d ^ 1]] = d
-    dual = EmbeddedGraph(
+    return EmbeddedGraph(
         n=faces.face_count, tails=tails, heads=heads, rotation=tuple(phi_inv), allow_loops=True
     )
-    return DualGraph(primal=g, primal_faces=faces, graph=dual)
 
 
 def cut_chain(g: EmbeddedGraph, S) -> IntegerChain:

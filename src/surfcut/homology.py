@@ -5,17 +5,17 @@ keeps in the WeightFunction.  The weight of a tree dart parent->child is the
 size of the child's subtree, so that the weight of any cut chain with the
 root inside equals the size of the far side.  build_loop_system reads the
 tree from the weight, grows a spanning cotree in the dual, and takes the
-loops through the 2g edges left over; the theta map counts signed crossings
-of a chain with each loop.  Primal and dual darts share ids, so both maps
-read a dual chain directly.
+loops through the 2g edges left over, so the genus is read off that split.
+The theta map counts signed crossings of a chain with each loop.  Primal
+and dual darts share ids, so both maps read a dual chain directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from surfcut.dual import DualGraph, IntegerChain
-from surfcut.embedding import EmbeddedGraph, EmbeddingError, genus
+from surfcut.dual import IntegerChain
+from surfcut.embedding import EmbeddedGraph, EmbeddingError
 
 
 def _bfs_tree(g: EmbeddedGraph, root: int):
@@ -26,7 +26,7 @@ def _bfs_tree(g: EmbeddedGraph, root: int):
     EmbeddedGraph is connected, so order holds all of them.
     """
     if not (0 <= root < g.n):
-        raise ValueError(f"root {root} out of range")
+        raise ValueError(f"root {root} out of range for {g.n} vertices")
     parent_dart = [-1] * g.n
     seen = [False] * g.n
     seen[root] = True
@@ -124,41 +124,36 @@ def _via_root(parent_dart, tails, a: int, b: int) -> list[int]:
     return [*up(a), *(d ^ 1 for d in reversed([*up(b)]))]
 
 
-def build_loop_system(g: EmbeddedGraph, dual: DualGraph, w: WeightFunction) -> LoopSystem:
+def build_loop_system(g: EmbeddedGraph, dual: EmbeddedGraph, w: WeightFunction) -> LoopSystem:
     """Split the edges into tree, cotree and 2g leftover edges, and build loops.
 
     Reads the primal BFS tree from the weight w, then grows a spanning tree
-    of the dual avoiding its edges.  Exactly 2g edges remain; their
-    fundamental cycles in the primal tree, closed at the root w.order[0],
-    are the loops.  A companion runs through the root of the dual tree; the
-    stretch it shares with the tree path cancels in its chain.
+    of the dual avoiding its edges.  The tree has n - 1 edges and the cotree
+    F - 1, so m - n - F + 2 = 2g edges remain, and the genus is half their
+    count.  Their fundamental cycles in the primal tree, closed at the root
+    w.order[0], are the loops.  A companion runs through the root of the
+    dual tree; the stretch it shares with the tree path cancels in its chain.
     """
     parent_dart, root, tree_edges = w.parent_dart, w.order[0], w.tree_edges
-    dg = dual.graph
-    g_genus = genus(g, dual.primal_faces)
 
-    dual_parent = [-1] * dg.n
-    seen = [False] * dg.n
+    dual_parent = [-1] * dual.n
+    seen = [False] * dual.n
     seen[0] = True
     queue = [0]
     for f in queue:
-        for d in dg.out_darts[f]:
+        for d in dual.out_darts[f]:
             if (d >> 1) in tree_edges:
                 continue
-            u = dg.heads[d]
+            u = dual.heads[d]
             if not seen[u]:
                 seen[u] = True
                 dual_parent[u] = d
                 queue.append(u)
     if not all(seen):
         raise EmbeddingError("dual cotree failed to span; embedding data is inconsistent")
-    cotree_edges = frozenset(dual_parent[f] >> 1 for f in range(dg.n) if dual_parent[f] != -1)
+    cotree_edges = frozenset(dual_parent[f] >> 1 for f in range(dual.n) if dual_parent[f] != -1)
 
     leftover = tuple(sorted(set(range(g.m)) - tree_edges - cotree_edges))
-    if len(leftover) != 2 * g_genus:
-        raise EmbeddingError(
-            f"{len(leftover)} edges left outside tree and cotree, expected {2 * g_genus}"
-        )
 
     loops = []
     loop_chains = []
@@ -172,7 +167,7 @@ def build_loop_system(g: EmbeddedGraph, dual: DualGraph, w: WeightFunction) -> L
         )
         loops.append(walk)
         loop_chains.append(IntegerChain.of_walk(g.m, walk))
-        cwalk = [d] + _via_root(dual_parent, dg.tails, dg.heads[d], dg.tails[d])
+        cwalk = [d] + _via_root(dual_parent, dual.tails, dual.heads[d], dual.tails[d])
         companions.append(IntegerChain.of_walk(g.m, tuple(cwalk)))
 
     theta_rows = tuple(
@@ -180,7 +175,7 @@ def build_loop_system(g: EmbeddedGraph, dual: DualGraph, w: WeightFunction) -> L
     )
 
     return LoopSystem(
-        genus=g_genus,
+        genus=len(leftover) // 2,
         loops=tuple(loops),
         theta_rows=theta_rows,
         companions=tuple(companions),

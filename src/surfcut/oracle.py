@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import TaggedWalk
-from surfcut.dual import DualGraph, IntegerChain
+from surfcut.dual import IntegerChain
 from surfcut.embedding import EmbeddedGraph
 from surfcut.homology import LoopSystem, WeightFunction
 from surfcut.solver import CutResult, score_cut
@@ -115,7 +115,7 @@ def _canonical_class(seq: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def enumerate_closed_walks(
-    dual: DualGraph,
+    dual: EmbeddedGraph,
     w: WeightFunction,
     system: LoopSystem,
     max_len: int,
@@ -127,7 +127,6 @@ def enumerate_closed_walks(
     """
     if max_len > 8:
         raise ValueError("walk enumeration capped at length 8")
-    dg = dual.graph
     classes: set[tuple[int, ...]] = set()
 
     def go(start: int, current: int, seq: list[int], moves: list[tuple[int, ...]]):
@@ -137,25 +136,25 @@ def enumerate_closed_walks(
             return
         for d in moves[current]:
             seq.append(d)
-            go(start, dg.heads[d], seq, moves)
+            go(start, dual.heads[d], seq, moves)
             seq.pop()
 
     # every class has a rotation that starts at its smallest dart d0 and so
     # never uses a dart below d0: one search per d0 over darts >= d0
-    for d0 in range(dg.num_darts if max_len > 0 else 0):
-        moves = [tuple(d for d in ds if d >= d0) for ds in dg.out_darts]
-        go(dg.tails[d0], dg.heads[d0], [d0], moves)
+    for d0 in range(dual.num_darts if max_len > 0 else 0):
+        moves = [tuple(d for d in ds if d >= d0) for ds in dual.out_darts]
+        go(dual.tails[d0], dual.heads[d0], [d0], moves)
 
-    weights = [w.dart_value(d) for d in range(dg.num_darts)]
-    thetas = [system.theta_dart(d) for d in range(dg.num_darts)]
-    walks = [TaggedWalk(darts=(), k=0, v=(0,) * (2 * system.genus), chain=IntegerChain.zero(dg.m))]
+    weights = [w.dart_value(d) for d in range(dual.num_darts)]
+    thetas = [system.theta_dart(d) for d in range(dual.num_darts)]
+    walks = [TaggedWalk(darts=(), k=0, v=(0,) * (2 * system.genus), chain=IntegerChain.zero(dual.m))]
     for seq in sorted(classes, key=lambda s: (len(s), s)):
         walks.append(
             TaggedWalk(
                 darts=seq,
                 k=sum(weights[d] for d in seq),
                 v=tuple(map(sum, zip(*(thetas[d] for d in seq)))),
-                chain=IntegerChain.of_walk(dg.m, seq),
+                chain=IntegerChain.of_walk(dual.m, seq),
             )
         )
     return walks

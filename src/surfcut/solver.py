@@ -29,7 +29,7 @@ from operator import add
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, restrict, shortest_tagged_walks
-from surfcut.dual import DualGraph, IntegerChain, build_dual, cut_chain
+from surfcut.dual import IntegerChain, build_dual, cut_chain
 from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
 from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight
 
@@ -303,7 +303,7 @@ class SolveContext:
         return self.loops.genus
 
     @cached_property
-    def dual(self) -> DualGraph:
+    def dual(self) -> EmbeddedGraph:
         return build_dual(self.g, self.faces)
 
     @cached_property

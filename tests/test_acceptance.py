@@ -124,7 +124,7 @@ def test_criterion_5_crossing_form(corpus_contexts):
     for name, ctx in corpus_contexts.items():
         system = ctx.loops
         zero = (0,) * (2 * system.genus)
-        for walk in trace_faces(ctx.dual.graph).facial_walks:
+        for walk in trace_faces(ctx.dual).facial_walks:
             c = IntegerChain.of_walk(ctx.g.m, walk)
             assert system.theta(c) == zero, name
         rows = [system.theta(c) for c in system.companions]

@@ -8,6 +8,7 @@ import pytest
 from surfcut.construct import complete_edges, cycle_edges, find_embedding
 from surfcut.cover import dump_walks, shortest_tagged_walks
 from surfcut.dual import build_dual
+from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
 from surfcut.oracle import enumerate_closed_walks
 
@@ -19,7 +20,7 @@ WALK_DIGESTS = json.loads(
 
 
 def pipeline(g, root=0):
-    dual = build_dual(g)
+    dual = build_dual(g, trace_faces(g))
     w = build_weight(g, root)
     system = build_loop_system(g, dual, w)
     return dual, w, system
@@ -28,7 +29,7 @@ def pipeline(g, root=0):
 def test_single_edge_walk_table():
     g = find_embedding(2, [(0, 1)], 0)
     dual, w, system = pipeline(g)
-    cover = shortest_tagged_walks(dual, w, system)
+    cover = shortest_tagged_walks(dual, w, system, g.m)
     # the dual is one vertex with one loop: the empty walk and the two
     # directions of the loop, weighing +1 and -1
     assert set(cover.walks) == {(0, ()), (1, ()), (-1, ())}
@@ -40,21 +41,21 @@ def test_single_edge_walk_table():
 def test_dump_format_frozen():
     g = find_embedding(2, [(0, 1)], 0)
     dual, w, system = pipeline(g)
-    cover = shortest_tagged_walks(dual, w, system)
+    cover = shortest_tagged_walks(dual, w, system, g.m)
     assert dump_walks(cover) == "-1 1 1\n0 0\n1 1 0\n"
 
 
 def test_walks_are_closed_and_tagged_consistently():
     g = find_embedding(5, complete_edges(5), 1)
     dual, w, system = pipeline(g)
-    cover = shortest_tagged_walks(dual, w, system)
+    cover = shortest_tagged_walks(dual, w, system, g.m)
     for (k, v), walk in cover.walks.items():
         assert walk.k == k and walk.v == v
         assert walk.length <= g.m
         if walk.darts:
-            assert dual.graph.tails[walk.darts[0]] == dual.graph.heads[walk.darts[-1]]
+            assert dual.tails[walk.darts[0]] == dual.heads[walk.darts[-1]]
             for a, b in zip(walk.darts, walk.darts[1:]):
-                assert dual.graph.heads[a] == dual.graph.tails[b]
+                assert dual.heads[a] == dual.tails[b]
         assert sum(w.dart_value(d) for d in walk.darts) == k
         acc = [0] * (2 * system.genus)
         for d in walk.darts:
@@ -70,8 +71,8 @@ def test_walks_are_closed_and_tagged_consistently():
 def test_search_is_reproducible():
     g = find_embedding(4, complete_edges(4), 1)
     dual, w, system = pipeline(g)
-    a = shortest_tagged_walks(dual, w, system)
-    b = shortest_tagged_walks(dual, w, system)
+    a = shortest_tagged_walks(dual, w, system, g.m)
+    b = shortest_tagged_walks(dual, w, system, g.m)
     assert list(a.walks) == list(b.walks)
     assert all(a.walks[key].darts == b.walks[key].darts for key in a.walks)
     assert dump_walks(a) == dump_walks(b)
@@ -80,10 +81,9 @@ def test_search_is_reproducible():
 def test_state_counts_within_bound():
     g = find_embedding(6, cycle_edges(6), 0)
     dual, w, system = pipeline(g)
-    cover = shortest_tagged_walks(dual, w, system)
-    # one BFS run per start dart of the dual; the bound counts the dual's faces
-    assert len(cover.states_per_start) == dual.graph.num_darts
-    assert cover.face_count == dual.graph.n
+    cover = shortest_tagged_walks(dual, w, system, g.m)
+    # one BFS run per start dart of the dual
+    assert len(cover.states_per_start) == dual.num_darts
     assert all(1 <= s <= cover.state_space_bound for s in cover.states_per_start)
 
 
@@ -94,7 +94,7 @@ def test_weights_outside_the_state_box_are_rejected():
     dual, w, system = pipeline(g)
     heavy = dataclasses.replace(w, values=(g.m * g.n + 1,))
     with pytest.raises(AssertionError, match="escaped its analytic bounds"):
-        shortest_tagged_walks(dual, heavy, system)
+        shortest_tagged_walks(dual, heavy, system, g.m)
 
 
 def test_state_box_follows_the_depth():
@@ -104,7 +104,7 @@ def test_state_box_follows_the_depth():
     dual, w, system = pipeline(g)
     cover = shortest_tagged_walks(dual, w, system, 3)
     assert cover.depth_cap == 3
-    assert (cover.k_bound, cover.v_bounds) == (9, (3, 3))
+    assert cover.state_space_bound == dual.n * 19 * 7 * 7
     assert all(walk.length <= 3 for walk in cover.walks.values())
     heavy = dataclasses.replace(w, values=(g.n,) + w.values[1:])
     crossed = dataclasses.replace(system, theta_rows=((2, 0),) + system.theta_rows[1:])
@@ -117,9 +117,9 @@ def test_shortest_walk_beats_any_longer_witness():
     # tags reachable at length L must never be stored with a longer walk
     g = find_embedding(4, complete_edges(4), 1)
     dual, w, system = pipeline(g)
-    cover = shortest_tagged_walks(dual, w, system)
-    for d in range(dual.graph.num_darts):
-        u, x = dual.graph.tails[d], dual.graph.heads[d]
+    cover = shortest_tagged_walks(dual, w, system, g.m)
+    for d in range(dual.num_darts):
+        u, x = dual.tails[d], dual.heads[d]
         if u == x:
             key = (w.dart_value(d), system.theta_dart(d))
             assert key in cover.walks and cover.walks[key].length <= 1

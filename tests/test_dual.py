@@ -15,7 +15,7 @@ from surfcut.embedding import genus, trace_faces
 
 def dual_face_vertex(g, dual):
     """Map each face of the dual to the primal vertex it surrounds."""
-    dfaces = trace_faces(dual.graph)
+    dfaces = trace_faces(dual)
     out = {}
     for k, walk in enumerate(dfaces.facial_walks):
         heads = {g.heads[d] for d in walk}
@@ -37,10 +37,10 @@ SAMPLES = [
 
 @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}g{genus(g)}")
 def test_dual_preserves_genus_and_counts(g):
-    dual = build_dual(g)
-    assert dual.graph.n == dual.primal_faces.face_count
-    assert dual.graph.m == g.m
-    assert genus(dual.graph) == genus(g)
+    dual = build_dual(g, trace_faces(g))
+    assert dual.n == trace_faces(g).face_count
+    assert dual.m == g.m
+    assert genus(dual) == genus(g)
     # dual faces correspond to primal vertices
     _, face_vertex = dual_face_vertex(g, dual)
     assert sorted(face_vertex.values()) == list(range(g.n))
@@ -48,23 +48,23 @@ def test_dual_preserves_genus_and_counts(g):
 
 @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}g{genus(g)}")
 def test_single_vertex_cut_is_negative_face(g):
-    dual = build_dual(g)
+    dual = build_dual(g, trace_faces(g))
     dfaces, face_vertex = dual_face_vertex(g, dual)
     for v in range(g.n):
         c = cut_chain(g, {v})
         k = next(k for k, vv in face_vertex.items() if vv == v)
-        face = IntegerChain.of_walk(dual.graph.m, dfaces.facial_walks[k])
+        face = IntegerChain.of_walk(dual.m, dfaces.facial_walks[k])
         assert (c + face).is_zero
 
 
 @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}g{genus(g)}")
 def test_double_dual_reverses_darts(g):
-    dual = build_dual(g)
+    dual = build_dual(g, trace_faces(g))
     dfaces, face_vertex = dual_face_vertex(g, dual)
-    dd = build_dual(dual.graph, dfaces)
+    dd = build_dual(dual, dfaces)
     for d in range(g.num_darts):
-        assert face_vertex[dd.graph.tails[d]] == g.heads[d]
-        assert face_vertex[dd.graph.heads[d]] == g.tails[d]
+        assert face_vertex[dd.tails[d]] == g.heads[d]
+        assert face_vertex[dd.heads[d]] == g.tails[d]
 
 
 def test_chain_algebra():
@@ -107,6 +107,6 @@ def test_cut_chain_rejects_trivial_sides():
 @given(st.integers(min_value=0, max_value=5000))
 def test_random_planar_duals_stay_planar(seed):
     g = random_planar(6, deletions=2, seed=seed)
-    dual = build_dual(g)
-    assert genus(dual.graph) == 0
-    assert trace_faces(dual.graph).face_count == g.n
+    dual = build_dual(g, trace_faces(g))
+    assert genus(dual) == 0
+    assert trace_faces(dual).face_count == g.n

@@ -66,7 +66,7 @@ def test_cut_weight_random_planar(seed, subset_bits):
     ids=["k4-planar", "k5-torus", "banana25-g2", "grid33-torus"],
 )
 def test_loop_counts(g, expect):
-    dual = build_dual(g)
+    dual = build_dual(g, trace_faces(g))
     w = build_weight(g)
     system = build_loop_system(g, dual, w)
     tree_edges = w.tree_edges
@@ -80,7 +80,7 @@ def test_loop_counts(g, expect):
 
 
 def test_loops_are_closed_at_root():
-    dual = build_dual(TORUS_K5)
+    dual = build_dual(TORUS_K5, trace_faces(TORUS_K5))
     for root in (0, 3):
         system = build_loop_system(TORUS_K5, dual, build_weight(TORUS_K5, root))
         for walk in system.loops:
@@ -92,16 +92,16 @@ def test_loops_are_closed_at_root():
 
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2, grid_torus(3, 3)], ids=["k5", "banana25", "grid33"])
 def test_theta_vanishes_on_dual_faces(g):
-    dual = build_dual(g)
+    dual = build_dual(g, trace_faces(g))
     system = build_loop_system(g, dual, build_weight(g))
     zero = (0,) * (2 * system.genus)
-    for walk in trace_faces(dual.graph).facial_walks:
+    for walk in trace_faces(dual).facial_walks:
         assert system.theta(IntegerChain.of_walk(g.m, walk)) == zero
 
 
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2], ids=["k5", "banana25"])
 def test_theta_vanishes_on_cuts(g):
-    dual = build_dual(g)
+    dual = build_dual(g, trace_faces(g))
     system = build_loop_system(g, dual, build_weight(g))
     zero = (0,) * (2 * system.genus)
     rng = random.Random(3)
@@ -112,7 +112,7 @@ def test_theta_vanishes_on_cuts(g):
 
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2, grid_torus(3, 3)], ids=["k5", "banana25", "grid33"])
 def test_companions_cross_their_own_loop_once(g):
-    dual = build_dual(g)
+    dual = build_dual(g, trace_faces(g))
     system = build_loop_system(g, dual, build_weight(g))
     for j, comp in enumerate(system.companions):
         t = system.theta(comp)
@@ -121,7 +121,7 @@ def test_companions_cross_their_own_loop_once(g):
 
 
 def test_theta_dart_antisymmetry():
-    dual = build_dual(TORUS_K5)
+    dual = build_dual(TORUS_K5, trace_faces(TORUS_K5))
     system = build_loop_system(TORUS_K5, dual, build_weight(TORUS_K5))
     for d in range(TORUS_K5.num_darts):
         plus = system.theta_dart(d)
@@ -131,7 +131,7 @@ def test_theta_dart_antisymmetry():
 
 def test_planar_loop_system_is_empty():
     g = find_embedding(4, complete_edges(4), 0)
-    dual = build_dual(g)
+    dual = build_dual(g, trace_faces(g))
     system = build_loop_system(g, dual, build_weight(g))
     assert system.genus == 0
     assert system.loops == ()

@@ -55,7 +55,7 @@ def test_vertex_cap(corpus_graphs):
 
 def test_one_vertex_graph_is_rejected(corpus_contexts):
     # the dual of a path on 3 vertices: one face, two loops, nothing to cut
-    g = corpus_contexts["p3"].dual.graph
+    g = corpus_contexts["p3"].dual
     assert g.n == 1
     with pytest.raises(ValueError, match="graph has 1"):
         brute_force_cut(g, quotient())
@@ -82,8 +82,8 @@ def test_brute_force_matches_plain_scoring(corpus_graphs, corpus_contexts):
     graphs = list(corpus_graphs.values()) + [
         random_planar(12, 2, seed=5),
         random_planar(12, 4, seed=6),
-        corpus_contexts["k4_torus"].dual.graph,  # 2 vertices, 2 loops
-        corpus_contexts["apollonian12_del"].dual.graph,  # 15 vertices, 1 loop
+        corpus_contexts["k4_torus"].dual,  # 2 vertices, 2 loops
+        corpus_contexts["apollonian12_del"].dual,  # 15 vertices, 1 loop
     ]
     for g in graphs:
         sides = [
@@ -126,7 +126,7 @@ def test_walk_tags_close_up(corpus_contexts):
     for w in walks:
         if not w.darts:
             continue
-        dg = ctx.dual.graph
+        dg = ctx.dual
         assert dg.tails[w.darts[0]] == dg.heads[w.darts[-1]]
         assert w.k == sum(ctx.weight.dart_value(d) for d in w.darts)
 
@@ -152,7 +152,7 @@ def test_walk_classes_match_plain_enumeration(corpus_contexts, name):
     # every closed dart sequence up to length 4, reduced to its class, must
     # be exactly the set of classes the enumerator returns
     ctx = corpus_contexts[name]
-    dg = ctx.dual.graph
+    dg = ctx.dual
     expected = set()
     for length in range(1, 5):
         for seq in itertools.product(range(dg.num_darts), repeat=length):

@@ -49,7 +49,7 @@ def test_counted_fields_exist(corpus_contexts):
     balance = importlib.import_module("surfcut.balance")
     ctx = corpus_contexts["k4_torus"]
     f = balance.quotient()
-    cover = solver.shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops)
+    cover = solver.shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, ctx.g.m)
     assert hasattr(cover, "states_per_start") and hasattr(cover, "walks")
     for walk in cover.walks.values():
         assert hasattr(walk, "length")

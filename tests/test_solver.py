@@ -190,7 +190,7 @@ def test_context_caches_walk_table(corpus_graphs, monkeypatch):
     depths = []
     build = solver.shortest_tagged_walks
 
-    def counted(dual, w, system, depth=None):
+    def counted(dual, w, system, depth):
         depths.append(depth)
         return build(dual, w, system, depth)
 
@@ -234,6 +234,17 @@ def test_one_bfs_tree_per_context(corpus_graphs, monkeypatch):
     monkeypatch.setattr(solver, "_bfs_tree", counted, raising=False)
     SolveContext(corpus_graphs["k5_g2"], 2).solve(quotient())
     assert roots == [2]
+
+
+def test_root_out_of_range_is_rejected(corpus_graphs):
+    with pytest.raises(ValueError, match="out of range for 4 vertices"):
+        SolveContext(corpus_graphs["k4"], 9).solve(quotient())
+
+
+def test_context_genus_matches_manifest(manifest, corpus_contexts):
+    # the loop system reads the genus off its tree-cotree split
+    want = {item["name"]: item["genus"] for item in manifest}
+    assert {name: ctx.genus for name, ctx in corpus_contexts.items()} == want
 
 
 def _tree_side(g, tree_edges, e, start):

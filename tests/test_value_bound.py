@@ -98,7 +98,7 @@ def contexts():
 def test_bounded_solve_matches_unbounded(name, contexts):
     ctx = contexts[name]
     g = ctx.g
-    full = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops)
+    full = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, g.m)
     assert full.depth_cap == g.m
     for label, f in PROFILES.items():
         det = ctx.solve_detailed(f)
