@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success (and oracle agreement), 3 when the oracle check was
 requested and disagrees, 1 for any input problem, 4 when one of the solver's
-self-checks fails (a SolverError; its error line names the input file).
+self-checks fails (a SolverError; its error line names the input file), and
+2 when argparse rejects the command line (a usage line, then a
+"surfcut: error:" line).
 """
 
 from __future__ import annotations

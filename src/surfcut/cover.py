@@ -87,7 +87,7 @@ def shortest_tagged_walks(
     faces = dual.n
     tails = dual.tails
     nd = dual.num_darts
-    weights = [w.dart_value(d) for d in range(nd)]
+    weights = [w.values.dart_coeff(d) for d in range(nd)]
     thetas = [system.theta_dart(d) for d in range(nd)]
 
     # walks of at most `depth` darts that move k by at most n - 1 and each

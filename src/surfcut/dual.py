@@ -6,6 +6,9 @@ primal dart d to the face on its right, so the dual of edge i is edge i.
 A chain assigns an integer to every dart subject to antisymmetry under twin,
 stored as one coefficient per edge (on the even dart).  Because the darts
 share ids, a dual chain is the primal chain with the same coefficients.
+Every per-edge labelling uses this one format: walk and cut chains, the
+balance weight and the homology loops, so pairing a chain with the weight
+or with a loop is a dot product of two chains.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ class IntegerChain:
     def dart_coeff(self, d: int) -> int:
         c = self.coeffs[d >> 1]
         return c if d % 2 == 0 else -c
+
+    def dot(self, other: "IntegerChain") -> int:
+        """The pairing sum over edges of coeffs[i] * other.coeffs[i]."""
+        return sum(a * b for a, b in zip(self.coeffs, other.coeffs, strict=True))
 
     @property
     def is_zero(self) -> bool:

@@ -6,8 +6,10 @@ size of the child's subtree, so that the weight of any cut chain with the
 root inside equals the size of the far side.  build_loop_system reads the
 tree from the weight, grows a spanning cotree in the dual, and takes the
 loops through the 2g edges left over, so the genus is read off that split.
-The theta map counts signed crossings of a chain with each loop.  Primal
-and dual darts share ids, so both maps read a dual chain directly.
+The weight and each loop are IntegerChains.  The weight of a chain is its
+dot product with the weight chain, and theta, the signed crossings of a
+chain with each loop, is one dot product per loop chain.  Primal and dual
+darts share ids, so both maps read a dual chain directly.
 """
 
 from __future__ import annotations
@@ -46,25 +48,18 @@ class WeightFunction:
     """Antisymmetric edge weights measuring cut balance, and their BFS tree.
 
     parent_dart[v] is the tree dart parent->v (-1 at the root, order[0]) and
-    order lists the vertices in BFS order.  values[i] lives on dart 2i.
-    Nonzero only on tree_edges, where the dart pointing away from the root
-    carries the size of the subtree it enters.
+    order lists the vertices in BFS order.  values is a chain, nonzero only
+    on tree_edges, where the dart pointing away from the root carries the
+    size of the subtree it enters; values.dot(c) is the weight of a chain c.
     """
 
-    values: tuple[int, ...]
+    values: IntegerChain
     parent_dart: tuple[int, ...]
     order: tuple[int, ...]
 
     @property
     def tree_edges(self) -> frozenset[int]:
         return frozenset(d >> 1 for d in self.parent_dart if d != -1)
-
-    def dart_value(self, d: int) -> int:
-        v = self.values[d >> 1]
-        return v if d % 2 == 0 else -v
-
-    def evaluate(self, c: IntegerChain) -> int:
-        return sum(a * b for a, b in zip(c.coeffs, self.values, strict=True))
 
 
 def build_weight(g: EmbeddedGraph, root: int = 0) -> WeightFunction:
@@ -75,42 +70,34 @@ def build_weight(g: EmbeddedGraph, root: int = 0) -> WeightFunction:
         d = parent_dart[v]
         subtree[g.tails[d]] += subtree[v]
         values[d >> 1] = subtree[v] if d % 2 == 0 else -subtree[v]
-    return WeightFunction(values=tuple(values), parent_dart=parent_dart, order=order)
+    return WeightFunction(values=IntegerChain(tuple(values)), parent_dart=parent_dart, order=order)
 
 
 @dataclass(frozen=True)
 class LoopSystem:
     """A homology basis of 2g loops through the root, with crossing data.
 
-    loops[j] is a closed dart walk in the primal: tree path out, one leftover
-    edge, tree path back.  theta_rows[i] holds the crossing counts of edge
-    i's even dual dart with each loop, so theta of a dual chain is a plain
-    dot product per loop.  companions[j] is a dual cycle crossing loop j
+    loops[j] is the chain of a closed primal walk: tree path out from the
+    root, one leftover edge, tree path back.  A dual dart d crosses loop j
+    loops[j].dart_coeff(d) times, so theta of a dual chain is its dot
+    product with each loop.  companions[j] is a dual cycle crossing loop j
     exactly once and the other loops not at all.  The edges split into the
     tree edges (WeightFunction.tree_edges), cotree_edges, the spanning tree
     of the dual that avoids them, and the 2g leftover_edges, one per loop.
     """
 
     genus: int
-    loops: tuple[tuple[int, ...], ...]
-    theta_rows: tuple[tuple[int, ...], ...]
+    loops: tuple[IntegerChain, ...]
     companions: tuple[IntegerChain, ...]
     cotree_edges: frozenset[int]
     leftover_edges: tuple[int, ...]
 
     def theta_dart(self, d: int) -> tuple[int, ...]:
-        row = self.theta_rows[d >> 1]
-        return row if d % 2 == 0 else tuple(-x for x in row)
+        return tuple(loop.dart_coeff(d) for loop in self.loops)
 
     def theta(self, c: IntegerChain) -> tuple[int, ...]:
         """Crossing vector of a chain with each loop of the system."""
-        out = [0] * (2 * self.genus)
-        for i, a in enumerate(c.coeffs):
-            if a:
-                row = self.theta_rows[i]
-                for j in range(len(out)):
-                    out[j] += a * row[j]
-        return tuple(out)
+        return tuple(c.dot(loop) for loop in self.loops)
 
 
 def _via_root(parent_dart, tails, a: int, b: int) -> list[int]:
@@ -130,11 +117,13 @@ def build_loop_system(g: EmbeddedGraph, dual: EmbeddedGraph, w: WeightFunction) 
     Reads the primal BFS tree from the weight w, then grows a spanning tree
     of the dual avoiding its edges.  The tree has n - 1 edges and the cotree
     F - 1, so m - n - F + 2 = 2g edges remain, and the genus is half their
-    count.  Their fundamental cycles in the primal tree, closed at the root
-    w.order[0], are the loops.  A companion runs through the root of the
-    dual tree; the stretch it shares with the tree path cancels in its chain.
+    count.  Each leftover edge, closed by the tree path from its head
+    through the root back to its tail, gives a cycle: in the primal tree
+    (root w.order[0]) its loop, in the dual tree its companion.  Where that
+    path runs to the root and back along the same edges, they cancel in
+    the chain.
     """
-    parent_dart, root, tree_edges = w.parent_dart, w.order[0], w.tree_edges
+    parent_dart, tree_edges = w.parent_dart, w.tree_edges
 
     dual_parent = [-1] * dual.n
     seen = [False] * dual.n
@@ -156,28 +145,17 @@ def build_loop_system(g: EmbeddedGraph, dual: EmbeddedGraph, w: WeightFunction) 
     leftover = tuple(sorted(set(range(g.m)) - tree_edges - cotree_edges))
 
     loops = []
-    loop_chains = []
     companions = []
     for e in leftover:
         d = 2 * e
-        walk = tuple(
-            _via_root(parent_dart, g.tails, root, g.tails[d])
-            + [d]
-            + _via_root(parent_dart, g.tails, g.heads[d], root)
-        )
-        loops.append(walk)
-        loop_chains.append(IntegerChain.of_walk(g.m, walk))
+        walk = [d] + _via_root(parent_dart, g.tails, g.heads[d], g.tails[d])
+        loops.append(IntegerChain.of_walk(g.m, tuple(walk)))
         cwalk = [d] + _via_root(dual_parent, dual.tails, dual.heads[d], dual.tails[d])
         companions.append(IntegerChain.of_walk(g.m, tuple(cwalk)))
-
-    theta_rows = tuple(
-        tuple(lc.coeffs[i] for lc in loop_chains) for i in range(g.m)
-    )
 
     return LoopSystem(
         genus=len(leftover) // 2,
         loops=tuple(loops),
-        theta_rows=theta_rows,
         companions=tuple(companions),
         cotree_edges=cotree_edges,
         leftover_edges=leftover,

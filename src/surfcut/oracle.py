@@ -145,7 +145,7 @@ def enumerate_closed_walks(
         moves = [tuple(d for d in ds if d >= d0) for ds in dual.out_darts]
         go(dual.tails[d0], dual.heads[d0], [d0], moves)
 
-    weights = [w.dart_value(d) for d in range(dual.num_darts)]
+    weights = [w.values.dart_coeff(d) for d in range(dual.num_darts)]
     thetas = [system.theta_dart(d) for d in range(dual.num_darts)]
     walks = [TaggedWalk(darts=(), k=0, v=(0,) * (2 * system.genus), chain=IntegerChain.zero(dual.m))]
     for seq in sorted(classes, key=lambda s: (len(s), s)):

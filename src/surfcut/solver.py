@@ -146,7 +146,7 @@ class CombineResult:
 
 def combine_and_minimize(
     cover: CoverResult, system: LoopSystem, f: BalanceFunction, n: int, m: int
-) -> CombineResult:
+) -> CombineResult | None:
     """Scan sums of at most genus+1 tagged walks with cancelling crossings.
 
     With F = balance_peak(f, n), an optimal cut chain splits into circuits
@@ -160,7 +160,8 @@ def combine_and_minimize(
     much, so this prune is exact.  It is strict, so chains tied at the best
     value are still scanned.  The last slot must cancel the crossings so
     far, so it reads only the walks with that crossing vector.  Ties break
-    on value, then chain size, then chain coefficients.
+    on value, then chain size, then chain coefficients.  None when no sum
+    in the table has cancelling crossings and a proper balance.
     """
     entries = sorted(
         (walk.chain.size, (walk.k, walk.v), walk.chain)
@@ -217,7 +218,7 @@ def combine_and_minimize(
         extend((), r, 0, (0,) * (2 * system.genus), 0)
 
     if best is None:
-        raise SolverError("no null-homologous combination found; walk table is incomplete")
+        return None
     (value, _, _), sigma, k, picked = best
     return CombineResult(
         sigma=sigma,
@@ -340,6 +341,8 @@ class SolveContext:
             depth = min(m, floor(self.upper_bound(f) * balance_peak(f, n)))
             cover = self.walk_table(depth)
             comb = combine_and_minimize(cover, self.loops, f, n, m)
+            if comb is None:
+                raise SolverError("no null-homologous combination found; walk table is incomplete")
             if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):
                 raise SolverError("minimizer returned a chain with nonzero crossings")
             cut = recover_cut(self.g, comb.sigma, f)

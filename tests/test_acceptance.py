@@ -94,11 +94,11 @@ def test_criterion_4_cut_weights(corpus_graphs, corpus_contexts):
     rng = random.Random(4)
     for name, g in corpus_graphs.items():
         w = corpus_contexts[name].weight
-        assert all(abs(x) <= g.n for x in w.values)
+        assert all(abs(x) <= g.n for x in w.values.coeffs)
         for _ in range(100):
             mask = rng.randrange(2 ** (g.n - 1) - 1)
             S = {0} | {v for v in range(1, g.n) if mask >> (v - 1) & 1}
-            assert w.evaluate(cut_chain(g, S)) == g.n - len(S), (name, sorted(S))
+            assert w.values.dot(cut_chain(g, S)) == g.n - len(S), (name, sorted(S))
     print("criterion 4 (cut weight = far side size, 100 subsets each): PASS")
 
 

@@ -32,6 +32,14 @@ def test_text_output_frozen(capsys):
     )
 
 
+def test_usage_error_exits_2(capsys):
+    # argparse rejects the command line before any input is read
+    with pytest.raises(SystemExit) as err:
+        cli.parse_args(["--root", "x", "in.emb"])
+    assert err.value.code == 2
+    assert "surfcut: error:" in capsys.readouterr().err
+
+
 def test_expansion_prints_identity_line(capsys):
     assert run_cli(str(CORPUS_DIR / "c6.emb"), "--f", "expansion") == 0
     lines = capsys.readouterr().out.splitlines()

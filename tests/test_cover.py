@@ -7,7 +7,7 @@ import pytest
 
 from surfcut.construct import complete_edges, cycle_edges, find_embedding
 from surfcut.cover import dump_walks, shortest_tagged_walks
-from surfcut.dual import build_dual
+from surfcut.dual import IntegerChain, build_dual
 from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
 from surfcut.oracle import enumerate_closed_walks
@@ -56,7 +56,7 @@ def test_walks_are_closed_and_tagged_consistently():
             assert dual.tails[walk.darts[0]] == dual.heads[walk.darts[-1]]
             for a, b in zip(walk.darts, walk.darts[1:]):
                 assert dual.heads[a] == dual.tails[b]
-        assert sum(w.dart_value(d) for d in walk.darts) == k
+        assert sum(w.values.dart_coeff(d) for d in walk.darts) == k
         acc = [0] * (2 * system.genus)
         for d in walk.darts:
             for j, x in enumerate(system.theta_dart(d)):
@@ -92,7 +92,7 @@ def test_weights_outside_the_state_box_are_rejected():
     # state, so the search refuses dart weights that could push it out
     g = find_embedding(2, [(0, 1)], 0)
     dual, w, system = pipeline(g)
-    heavy = dataclasses.replace(w, values=(g.m * g.n + 1,))
+    heavy = dataclasses.replace(w, values=IntegerChain((g.m * g.n + 1,)))
     with pytest.raises(AssertionError, match="escaped its analytic bounds"):
         shortest_tagged_walks(dual, heavy, system, g.m)
 
@@ -106,8 +106,9 @@ def test_state_box_follows_the_depth():
     assert cover.depth_cap == 3
     assert cover.state_space_bound == dual.n * 19 * 7 * 7
     assert all(walk.length <= 3 for walk in cover.walks.values())
-    heavy = dataclasses.replace(w, values=(g.n,) + w.values[1:])
-    crossed = dataclasses.replace(system, theta_rows=((2, 0),) + system.theta_rows[1:])
+    heavy = dataclasses.replace(w, values=IntegerChain((g.n,) + w.values.coeffs[1:]))
+    twice = IntegerChain((2,) + system.loops[0].coeffs[1:])
+    crossed = dataclasses.replace(system, loops=(twice,) + system.loops[1:])
     for weight, loops in ((heavy, system), (w, crossed)):
         with pytest.raises(AssertionError, match="escaped its analytic bounds"):
             shortest_tagged_walks(dual, weight, loops, 3)
@@ -121,7 +122,7 @@ def test_shortest_walk_beats_any_longer_witness():
     for d in range(dual.num_darts):
         u, x = dual.tails[d], dual.heads[d]
         if u == x:
-            key = (w.dart_value(d), system.theta_dart(d))
+            key = (w.values.dart_coeff(d), system.theta_dart(d))
             assert key in cover.walks and cover.walks[key].length <= 1
 
 

@@ -3,15 +3,18 @@
 Hypothesis draws connected loopless multigraphs with up to 8 vertices and
 random rotations, keeping those of genus at most 2.  The settings are
 derandomized with a fixed example count, so every run checks the same
-graphs.
+graphs.  A seeded draw of denser multigraphs embedded at genus 3 reaches
+six crossing coordinates, which no corpus file has.
 """
+
+import random
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from surfcut.balance import density, parse_custom, quotient
-from surfcut.construct import from_cyclic_orders
-from surfcut.embedding import genus
+from surfcut.construct import find_embedding, from_cyclic_orders
+from surfcut.embedding import EmbeddingError, genus
 from surfcut.oracle import brute_force_cut
 from surfcut.solver import SolveContext, score_cut
 
@@ -48,3 +51,32 @@ def test_solve_matches_oracle(g):
         got = ctx.solve(f)
         assert got.value == brute_force_cut(g, f).best.value, f.kind
         assert score_cut(g, got.S, f) == got
+
+
+def genus3_multigraphs(count: int, seed: int):
+    """`count` connected loopless multigraphs, n 3-6 and m n+5 to n+8, at genus 3."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(200):
+        n = rng.randint(3, 6)
+        m = rng.randint(n + 5, n + 8)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        while len(edges) < m:
+            edges.append(tuple(rng.sample(range(n), 2)))
+        try:
+            found.append(find_embedding(n, edges, 3))
+        except EmbeddingError:
+            continue
+        if len(found) == count:
+            return found
+    raise AssertionError(f"only {len(found)} genus-3 embeddings in 200 draws")
+
+
+def test_genus3_solves_match_oracle():
+    for g in genus3_multigraphs(8, seed=3):
+        ctx = SolveContext(g)
+        assert ctx.genus == 3
+        for f in (quotient(), density()):
+            got = ctx.solve(f)
+            assert got.value == brute_force_cut(g, f).best.value, (g.n, g.m, f.kind)
+            assert score_cut(g, got.S, f) == got

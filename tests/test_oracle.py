@@ -128,7 +128,7 @@ def test_walk_tags_close_up(corpus_contexts):
             continue
         dg = ctx.dual
         assert dg.tails[w.darts[0]] == dg.heads[w.darts[-1]]
-        assert w.k == sum(ctx.weight.dart_value(d) for d in w.darts)
+        assert w.k == sum(ctx.weight.values.dart_coeff(d) for d in w.darts)
 
 
 def test_min_tags_match_cover_table(corpus_contexts):

@@ -93,7 +93,7 @@ def test_evaluate_chain_matches_cut_score(name, corpus_graphs, corpus_contexts):
     for _ in range(20):
         S = rng.sample(range(g.n), rng.randrange(1, g.n))
         c = cut_chain(g, S)
-        assert Fraction(c.size) / f(Fraction(abs(w.evaluate(c)), g.n)) == score_cut(g, S, f).value
+        assert Fraction(c.size) / f(Fraction(abs(w.values.dot(c)), g.n)) == score_cut(g, S, f).value
 
 
 def test_combine_on_single_edge(corpus_contexts):
@@ -104,6 +104,12 @@ def test_combine_on_single_edge(corpus_contexts):
     assert comb.value == Fraction(2)
     assert len(comb.walks_used) == 1
     assert comb.candidates == 2
+
+
+def test_combine_without_a_cancelling_sum_returns_none(corpus_contexts):
+    ctx = corpus_contexts["k4_torus"]
+    empty = dataclasses.replace(ctx.cover, walks={})
+    assert combine_and_minimize(empty, ctx.loops, quotient(), ctx.g.n, ctx.g.m) is None
 
 
 @pytest.mark.parametrize(
@@ -271,7 +277,7 @@ def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
     w = ctx.weight
     # the positive dart of a tree edge enters the subtree it weighs
     subtrees = [
-        _tree_side(g, w.tree_edges, e, g.heads[2 * e] if w.values[e] > 0 else g.tails[2 * e])
+        _tree_side(g, w.tree_edges, e, g.heads[2 * e] if w.values.coeffs[e] > 0 else g.tails[2 * e])
         for e in w.tree_edges
     ]
     # the first k vertices of the BFS from r; k = 1 gives the single vertices
