@@ -21,11 +21,23 @@ is missed.  The minimum-face rule (Johnson 1975: start at the smallest face
 and stay on faces >= it) would prune more, but it finds a different member
 of a tie than the lexicographic minimum and so changes the stored dart
 sequences.
+
+Each run prunes with an admissible bound, as in A* (Hart, Nilsson & Raphael
+1968): with dist(u) the fewest darts >= d0 from face u back to the start
+face, a state at level l on face u is expanded only when l + dist(u) <= D.
+Any other state has no closed walk within D darts through it.  The bound
+never falls along a path, since a dart from u' to u gives dist(u') <=
+dist(u) + 1, so each kept state's first path has every prefix kept, and
+the kept states are met in the same FIFO order as without the prune.  The
+table is therefore unchanged; only the states visited drop.  A closed
+state's walk is rebuilt from the parent darts only when it is shorter than
+the walk its tag already has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from surfcut.dual import IntegerChain
 from surfcut.embedding import EmbeddedGraph
@@ -52,9 +64,9 @@ class CoverResult:
 
     The other fields account for the search that built the table, which for
     a restricted table went deeper: states_per_start has one entry per start
-    dart, the states its run visited, and state_space_bound is the size of
-    the covering state space V' x [-K..K] x prod [-Vj..Vj] that bounds every
-    run.
+    dart, the states its run visited after the prune (those it reached,
+    expanded or not), and state_space_bound is the size of the covering
+    state space V' x [-K..K] x prod [-Vj..Vj] that bounds every run.
     """
 
     walks: dict[tuple[int, tuple[int, ...]], TaggedWalk]
@@ -81,11 +93,20 @@ def shortest_tagged_walks(
     recorded for a state is the lexicographically smallest shortest one, and
     the run finds that walk.  Runs go by ascending d0, so the merge keeps
     the first walk of the shortest length it meets for a tag.
+
+    The run from d0 first finds dist[u], the fewest darts >= d0 from face u
+    back to t0, by one BFS backward from t0 (faces that cannot get back get
+    depth + 1), and expands a frontier state at level l on face u only when
+    l + dist[u] <= depth.  That drops exactly the states with no closed walk
+    of at most `depth` darts through them, and leaves the first path of
+    every other state, and so every stored walk, as it was.  `visited` fills
+    level by level, so a count per level gives each closed state's length,
+    and its darts are rebuilt only when that beats the stored walk's length.
     """
     m = dual.m
     n = len(w.order)
     faces = dual.n
-    tails = dual.tails
+    tails, heads, out_darts = dual.tails, dual.heads, dual.out_darts
     nd = dual.num_darts
     weights = [w.values.dart_coeff(d) for d in range(nd)]
     thetas = [system.theta_dart(d) for d in range(nd)]
@@ -95,71 +116,104 @@ def shortest_tagged_walks(
     # coordinate escaped would silently alias another state
     if any(abs(x) > n - 1 for x in weights) or any(abs(x) > 1 for row in thetas for x in row):
         raise AssertionError("covering state escaped its analytic bounds")
-    k_bound = depth * (n - 1)
-    v_bounds = (depth,) * (2 * system.genus)
-
-    sizes = (2 * k_bound + 1, *(2 * vb + 1 for vb in v_bounds))
+    # bounds: the largest |k| and each largest |v_j|
+    bounds = (depth * (n - 1),) + (depth,) * (2 * system.genus)
+    sizes = tuple(2 * b + 1 for b in bounds)
     radix = [faces]
     for size in sizes[:-1]:
         radix.append(radix[-1] * size)
-    offset = sum(r * b for r, b in zip(radix, (k_bound, *v_bounds)))
+    offset = sum(r * b for r, b in zip(radix, bounds))
     step = [
-        dual.heads[d] - tails[d] + sum(r * x for r, x in zip(radix, (weights[d], *thetas[d])))
+        heads[d] - tails[d] + sum(r * x for r, x in zip(radix, (weights[d], *thetas[d])))
         for d in range(nd)
     ]
     # moves[u]: (step, dart) for the darts leaving u that the current run may
     # use, ascending; each run drops its start dart when it is done
-    moves = [[(step[d], d) for d in ds] for ds in dual.out_darts]
+    moves = [[(step[d], d) for d in ds] for ds in out_darts]
 
-    best: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {(0, (0,) * len(v_bounds)): ()}
+    # a closed state s at the start face t0 has tag digits q = s // faces,
+    # the same int in every run, so best is keyed by q and decoded once
+    best = {offset // faces: ()}
+    unreachable = depth + 1
     states_per_start = []
     for d0 in range(nd):
         t0 = tails[d0]
+        # dist[u]: fewest darts >= d0 from face u back to t0; the darts
+        # into a face x are the twins d ^ 1 of its out-darts d
+        dist = [unreachable] * faces
+        dist[t0] = 0
+        queue = [t0]
+        for x in queue:
+            for d in out_darts[x]:
+                y = heads[d]
+                if d ^ 1 >= d0 and dist[y] == unreachable:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+
         origin = t0 + offset
         visited = {origin: -1}
-        if step[d0]:
+        # per_level[l]: how many states the run first reached at level l
+        per_level = [1]
+        # a zero step is a dart back to the origin; at depth 0 the box has
+        # no room for a dart, and no walk may take one
+        if depth and step[d0]:
             frontier = [origin + step[d0]]
             visited[frontier[0]] = d0
+            per_level.append(1)
             level = 1
             while frontier and level < depth:
+                budget = depth - level
                 nxt = []
                 for s in frontier:
-                    for st, d in moves[s % faces]:
+                    u = s % faces
+                    if dist[u] > budget:
+                        continue
+                    for st, d in moves[u]:
                         ns = s + st
                         if ns not in visited:
                             visited[ns] = d
                             nxt.append(ns)
                 frontier = nxt
+                per_level.append(len(nxt))
                 level += 1
         moves[t0].pop(0)
         states_per_start.append(len(visited))
 
-        for s, last in visited.items():
-            if last == -1 or s % faces != t0:
-                continue
-            darts = []
-            x, d = s, last
-            while d != -1:
-                darts.append(d)
-                x -= step[d]
-                d = visited[x]
-            darts = tuple(reversed(darts))
-            q = s // faces
-            coords = []
-            for size, bound in zip(sizes, (k_bound, *v_bounds)):
-                q, r = divmod(q, size)
-                coords.append(r - bound)
-            key = (coords[0], tuple(coords[1:]))
-            cur = best.get(key)
-            # a walk stored by an earlier run starts with a smaller dart, and
-            # one run reaches each tag at most once, so at equal length the
-            # stored walk is the lexicographically smaller one
-            if cur is None or len(darts) < len(cur):
-                best[key] = darts
+        # visited holds the levels in order and a state's level is the
+        # length of its walk, so a walk is rebuilt only when it beats the
+        # stored one
+        states = iter(visited.items())
+        next(states)
+        for level, count in enumerate(per_level[1:], 1):
+            for s, last in islice(states, count):
+                if s % faces != t0:
+                    continue
+                q = s // faces
+                cur = best.get(q)
+                # a walk stored by an earlier run starts with a smaller dart,
+                # and one run reaches each tag at most once, so at equal
+                # length the stored walk is the lexicographically smaller one
+                if cur is None or level < len(cur):
+                    darts = []
+                    x, d = s, last
+                    while d != -1:
+                        darts.append(d)
+                        x -= step[d]
+                        d = visited[x]
+                    best[q] = tuple(reversed(darts))
+        # the iterator holds this run's states until it is dropped
+        del states
 
+    tagged = []
+    for q, darts in best.items():
+        coords = []
+        for size, bound in zip(sizes, bounds):
+            q, r = divmod(q, size)
+            coords.append(r - bound)
+        tagged.append(((coords[0], tuple(coords[1:])), darts))
     walks = {
         key: TaggedWalk(darts=darts, k=key[0], v=key[1], chain=IntegerChain.of_walk(m, darts))
-        for key, darts in sorted(best.items())
+        for key, darts in sorted(tagged)
     }
     return CoverResult(
         walks=walks,

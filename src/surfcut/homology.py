@@ -86,11 +86,14 @@ class LoopSystem:
     of the dual that avoids them, and the 2g leftover_edges, one per loop.
     """
 
-    genus: int
     loops: tuple[IntegerChain, ...]
     companions: tuple[IntegerChain, ...]
     cotree_edges: frozenset[int]
     leftover_edges: tuple[int, ...]
+
+    @property
+    def genus(self) -> int:
+        return len(self.loops) // 2
 
     def theta_dart(self, d: int) -> tuple[int, ...]:
         return tuple(loop.dart_coeff(d) for loop in self.loops)
@@ -154,7 +157,6 @@ def build_loop_system(g: EmbeddedGraph, dual: EmbeddedGraph, w: WeightFunction) 
         companions.append(IntegerChain.of_walk(g.m, tuple(cwalk)))
 
     return LoopSystem(
-        genus=len(leftover) // 2,
         loops=tuple(loops),
         companions=tuple(companions),
         cotree_edges=cotree_edges,

@@ -107,11 +107,14 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
     return OracleReport(best=best, minimal_witness=witness, all_values=all_values)
 
 
-def _canonical_class(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest representative of a closed walk modulo rotation and reversal."""
+def _represents_class(seq: tuple[int, ...]) -> bool:
+    """Whether seq is the smallest closed walk modulo rotation and reversal.
+
+    seq[0] must be the smallest dart of seq and of its reverse, so the
+    smallest member of the class is a rotation of one of them starting there.
+    """
     rev = tuple(d ^ 1 for d in reversed(seq))
-    lo = min(min(seq), min(rev))
-    return min(s[i:] + s[:i] for s in (seq, rev) for i, d in enumerate(s) if d == lo)
+    return all(seq <= s[i:] + s[:i] for s in (seq, rev) for i, d in enumerate(s) if d == seq[0])
 
 
 def enumerate_closed_walks(
@@ -127,11 +130,13 @@ def enumerate_closed_walks(
     """
     if max_len > 8:
         raise ValueError("walk enumeration capped at length 8")
-    classes: set[tuple[int, ...]] = set()
+    classes: list[tuple[int, ...]] = []
 
     def go(start: int, current: int, seq: list[int], moves: list[tuple[int, ...]]):
         if current == start:
-            classes.add(_canonical_class(tuple(seq)))
+            walk = tuple(seq)
+            if _represents_class(walk):
+                classes.append(walk)
         if len(seq) == max_len:
             return
         for d in moves[current]:
@@ -139,9 +144,13 @@ def enumerate_closed_walks(
             go(start, dual.heads[d], seq, moves)
             seq.pop()
 
-    # every class has a rotation that starts at its smallest dart d0 and so
-    # never uses a dart below d0: one search per d0 over darts >= d0
-    for d0 in range(dual.num_darts if max_len > 0 else 0):
+    # let d0 be the smallest dart of a class's walk and its reverse: the one
+    # holding d0 has a rotation that starts at d0 and uses no dart below it,
+    # so one search per d0 over darts >= d0 meets the smallest member of every
+    # class exactly once.  d0 is even, since an odd dart d in one direction
+    # puts d - 1 in the other, and the walks a search from an even d0 meets
+    # have no dart below d0 in either direction
+    for d0 in range(0, dual.num_darts if max_len > 0 else 0, 2):
         moves = [tuple(d for d in ds if d >= d0) for ds in dual.out_darts]
         go(dual.tails[d0], dual.heads[d0], [d0], moves)
 

@@ -1,16 +1,21 @@
 import dataclasses
 import hashlib
 import json
+from math import floor
+from operator import add
 from pathlib import Path
 
 import pytest
+from test_fuzz import seeded_multigraphs
 
-from surfcut.construct import complete_edges, cycle_edges, find_embedding
+from surfcut.balance import quotient
+from surfcut.construct import complete_edges, cycle_edges, find_embedding, grid_torus, random_planar
 from surfcut.cover import dump_walks, shortest_tagged_walks
 from surfcut.dual import IntegerChain, build_dual
 from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
 from surfcut.oracle import enumerate_closed_walks
+from surfcut.solver import SolveContext, balance_peak
 
 # sha256 of dump_walks(ctx.cover) per corpus instance, in manifest order; the
 # full walk table does not depend on the balance function
@@ -114,6 +119,15 @@ def test_state_box_follows_the_depth():
             shortest_tagged_walks(dual, weight, loops, 3)
 
 
+def test_depth_zero_keeps_only_the_empty_walk():
+    # at depth 0 the state box holds only the origin, so a dart taken there
+    # would alias the origin's tag
+    g = find_embedding(2, [(0, 1)], 0)
+    dual, w, system = pipeline(g)
+    cover = shortest_tagged_walks(dual, w, system, 0)
+    assert {key: walk.darts for key, walk in cover.walks.items()} == {(0, ()): ()}
+
+
 def test_shortest_walk_beats_any_longer_witness():
     # tags reachable at length L must never be stored with a longer walk
     g = find_embedding(4, complete_edges(4), 1)
@@ -158,3 +172,92 @@ def test_every_corpus_walk_table_is_pinned(manifest):
 def test_corpus_walk_tables_frozen(name, corpus_contexts):
     dump = dump_walks(corpus_contexts[name].cover)
     assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == WALK_DIGESTS[name]
+
+
+def reference_tagged_walks(dual, w, system, depth):
+    """The covering BFS with no prune, every closed state's walk rebuilt.
+
+    States are (face, k, v) tuples.  One run per start dart d0 leaves the
+    start face by d0, then expands every state up to `depth` darts, taking
+    darts >= d0 in ascending order with a FIFO frontier.  Returns the walk
+    table as (tag, darts) pairs in tag order, and the states of each run.
+    """
+    nd = dual.num_darts
+    weights = [w.values.dart_coeff(d) for d in range(nd)]
+    thetas = [system.theta_dart(d) for d in range(nd)]
+    zero = (0,) * (2 * system.genus)
+    best = {(0, zero): ()}
+    states = []
+    for d0 in range(nd):
+        t0 = dual.tails[d0]
+        origin = (t0, 0, zero)
+        parent = {origin: None}
+        frontier = [origin]
+        for level in range(depth):
+            nxt = []
+            for s in frontier:
+                face, k, v = s
+                for d in dual.out_darts[face] if level else (d0,):
+                    if d < d0:
+                        continue
+                    ns = (dual.heads[d], k + weights[d], tuple(map(add, v, thetas[d])))
+                    if ns not in parent:
+                        parent[ns] = (s, d)
+                        nxt.append(ns)
+            frontier = nxt
+        states.append(len(parent))
+        for s in parent:
+            if s == origin or s[0] != t0:
+                continue
+            darts = []
+            x = s
+            while parent[x] is not None:
+                x, d = parent[x]
+                darts.append(d)
+            key = (s[1], s[2])
+            if key not in best or len(darts) < len(best[key]):
+                best[key] = tuple(reversed(darts))
+    return sorted(best.items()), tuple(states)
+
+
+def solver_depth(ctx):
+    """The depth D a quotient solve reads the walk table to."""
+    f = quotient()
+    return min(ctx.g.m, floor(ctx.upper_bound(f) * balance_peak(f, ctx.g.n)))
+
+
+# (graph, second depth): each graph is compared at its solve depth D and at
+# the second depth, None for the edge count m; graphs whose unpruned search
+# to depth m takes more than a second get a smaller second depth
+DIFFERENTIAL_GRAPHS = {
+    "planar": lambda: [(random_planar(n, d, d + 1), None) for n in (10, 14, 17, 20) for d in range(5)],
+    "torus": lambda: [
+        (grid_torus(3, 3), None),
+        *((grid_torus(p, q), 6) for p, q in ((3, 4), (4, 4), (4, 5), (5, 5))),
+    ],
+    "genus2": lambda: [(g, min(g.m, 6)) for g in seeded_multigraphs(2, 6, seed=2)],
+    "genus3": lambda: [(g, 4) for g in seeded_multigraphs(3, 4, seed=3)],
+}
+
+
+@pytest.mark.parametrize("family", list(DIFFERENTIAL_GRAPHS))
+def test_pruned_search_matches_unpruned_reference(family):
+    # the prune drops only states that cannot close within the depth, so
+    # the table (tags, darts and order) is the unpruned one, from no more
+    # states per run
+    for g, second in DIFFERENTIAL_GRAPHS[family]():
+        ctx = SolveContext(g)
+        for depth in (solver_depth(ctx), second or g.m):
+            cover = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
+            walks, states = reference_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
+            assert [(key, walk.darts) for key, walk in cover.walks.items()] == walks, (g.n, g.m, depth)
+            assert len(cover.states_per_start) == len(states)
+            assert all(a <= b for a, b in zip(cover.states_per_start, states)), (g.n, g.m, depth)
+
+
+def test_prune_drops_states():
+    ctx = SolveContext(random_planar(20, 0, 1))
+    depth = solver_depth(ctx)
+    cover = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
+    _, states = reference_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
+    assert sum(cover.states_per_start) < sum(states)

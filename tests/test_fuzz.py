@@ -53,27 +53,27 @@ def test_solve_matches_oracle(g):
         assert score_cut(g, got.S, f) == got
 
 
-def genus3_multigraphs(count: int, seed: int):
-    """`count` connected loopless multigraphs, n 3-6 and m n+5 to n+8, at genus 3."""
+def seeded_multigraphs(target_genus: int, count: int, seed: int):
+    """`count` connected loopless multigraphs, n 3-6 and m n+2g-1 to n+2g+2, at genus g."""
     rng = random.Random(seed)
     found = []
     for _ in range(200):
         n = rng.randint(3, 6)
-        m = rng.randint(n + 5, n + 8)
+        m = rng.randint(n + 2 * target_genus - 1, n + 2 * target_genus + 2)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
         while len(edges) < m:
             edges.append(tuple(rng.sample(range(n), 2)))
         try:
-            found.append(find_embedding(n, edges, 3))
+            found.append(find_embedding(n, edges, target_genus))
         except EmbeddingError:
             continue
         if len(found) == count:
             return found
-    raise AssertionError(f"only {len(found)} genus-3 embeddings in 200 draws")
+    raise AssertionError(f"only {len(found)} genus-{target_genus} embeddings in 200 draws")
 
 
 def test_genus3_solves_match_oracle():
-    for g in genus3_multigraphs(8, seed=3):
+    for g in seeded_multigraphs(3, 8, seed=3):
         ctx = SolveContext(g)
         assert ctx.genus == 3
         for f in (quotient(), density()):
