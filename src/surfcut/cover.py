@@ -13,9 +13,12 @@ depth-m table restricted to walks of at most D darts (`restrict`).
 
 A dart's weight is a subtree size, at most n - 1, and each loop crosses an
 edge at most once, so walks of at most D darts keep k and v inside a box
-known before the search.  A state is then one int in mixed radix (digits:
-face, k + K, v_j + V_j) and a dart moves every state by the same
-precomputed int.  One BFS runs per start dart d0, using only darts >= d0:
+known before the search.  A state is then one int in mixed radix, digits
+from the lowest: face, v_2g + V, ..., v_1 + V, k + K.  A dart moves every
+state by the same precomputed int.  With k the highest digit and v_1 the
+next, q = state // faces orders states exactly as their tags (k, v) sort,
+so sorting the closed states' ints puts the table in tag order with no
+tuple compared.  One BFS runs per start dart d0, using only darts >= d0:
 every closed walk has a rotation starting at its smallest dart, so no class
 is missed.  The minimum-face rule (Johnson 1975: start at the smallest face
 and stay on faces >= it) would prune more, but it finds a different member
@@ -37,6 +40,7 @@ the walk its tag already has.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 
 from surfcut.dual import IntegerChain
@@ -44,7 +48,7 @@ from surfcut.embedding import EmbeddedGraph
 from surfcut.homology import LoopSystem, WeightFunction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedWalk:
     """A closed dual walk with its weight k and crossing vector v."""
 
@@ -67,6 +71,12 @@ class CoverResult:
     dart, the states its run visited after the prune (those it reached,
     expanded or not), and state_space_bound is the size of the covering
     state space V' x [-K..K] x prod [-Vj..Vj] that bounds every run.
+    walks is in tag order, which `restrict` keeps.
+
+    by_mass is the index the combine step reads, built on first read and
+    kept with the table object: a table read by several solves at one depth
+    builds it once, while a restricted or `dataclasses.replace`d table is a
+    new object and builds its own.
     """
 
     walks: dict[tuple[int, tuple[int, ...]], TaggedWalk]
@@ -77,6 +87,18 @@ class CoverResult:
     @property
     def max_states(self) -> int:
         return max(self.states_per_start)
+
+    @cached_property
+    def by_mass(self) -> tuple[list, dict[tuple[int, ...], list[int]]]:
+        """The nonzero walks as (mass, tag, chain), sorted by mass then tag,
+        and for each crossing vector the ascending indices of its entries."""
+        entries = sorted(
+            (walk.chain.size, key, walk.chain) for key, walk in self.walks.items() if walk.chain.size
+        )
+        by_v: dict[tuple[int, ...], list[int]] = {}
+        for i, (_, (_, v), _) in enumerate(entries):
+            by_v.setdefault(v, []).append(i)
+        return entries, by_v
 
 
 def shortest_tagged_walks(
@@ -116,15 +138,17 @@ def shortest_tagged_walks(
     # coordinate escaped would silently alias another state
     if any(abs(x) > n - 1 for x in weights) or any(abs(x) > 1 for row in thetas for x in row):
         raise AssertionError("covering state escaped its analytic bounds")
-    # bounds: the largest |k| and each largest |v_j|
-    bounds = (depth * (n - 1),) + (depth,) * (2 * system.genus)
-    sizes = tuple(2 * b + 1 for b in bounds)
-    radix = [faces]
-    for size in sizes[:-1]:
-        radix.append(radix[-1] * size)
-    offset = sum(r * b for r, b in zip(radix, bounds))
+    # the tag digits of q = s // faces, lowest first: v_2g ... v_1, then k,
+    # each as its coordinate plus its bound, the largest |v_j| or |k|; place
+    # holds their place values in q
+    bounds = (depth,) * (2 * system.genus) + (depth * (n - 1),)
+    place = [1]
+    for b in bounds[:-1]:
+        place.append(place[-1] * (2 * b + 1))
+    offset = faces * sum(p * b for p, b in zip(place, bounds))
     step = [
-        heads[d] - tails[d] + sum(r * x for r, x in zip(radix, (weights[d], *thetas[d])))
+        heads[d] - tails[d]
+        + faces * sum(p * x for p, x in zip(place, (*reversed(thetas[d]), weights[d])))
         for d in range(nd)
     ]
     # moves[u]: (step, dart) for the darts leaving u that the current run may
@@ -204,21 +228,22 @@ def shortest_tagged_walks(
         # the iterator holds this run's states until it is dropped
         del states
 
-    tagged = []
-    for q, darts in best.items():
+    # q sorts like the tag, so the table comes out in tag order; each q is
+    # decoded from its highest digit, k, down to v_2g
+    high_first = list(zip(reversed(place), reversed(bounds)))
+    walks = {}
+    for q in sorted(best):
+        darts = best[q]
         coords = []
-        for size, bound in zip(sizes, bounds):
-            q, r = divmod(q, size)
-            coords.append(r - bound)
-        tagged.append(((coords[0], tuple(coords[1:])), darts))
-    walks = {
-        key: TaggedWalk(darts=darts, k=key[0], v=key[1], chain=IntegerChain.of_walk(m, darts))
-        for key, darts in sorted(tagged)
-    }
+        for p, b in high_first:
+            digit, q = divmod(q, p)
+            coords.append(digit - b)
+        k, v = coords[0], tuple(coords[1:])
+        walks[k, v] = TaggedWalk(darts=darts, k=k, v=v, chain=IntegerChain.of_walk(m, darts))
     return CoverResult(
         walks=walks,
         depth_cap=depth,
-        state_space_bound=radix[-1] * sizes[-1],
+        state_space_bound=faces * place[-1] * (2 * bounds[-1] + 1),
         states_per_start=tuple(states_per_start),
     )
 
@@ -232,9 +257,9 @@ def restrict(cover: CoverResult, depth: int) -> CoverResult:
 
 
 def dump_walks(cover: CoverResult) -> str:
-    """One line per tag: k, the crossing coordinates, length, dart sequence."""
+    """One line per tag, in tag order: k, the crossing coordinates, length, dart sequence."""
     lines = []
-    for (k, v), walk in sorted(cover.walks.items()):
+    for (k, v), walk in cover.walks.items():
         parts = [str(k), *map(str, v), str(walk.length), *map(str, walk.darts)]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

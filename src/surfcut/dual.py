@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 from surfcut.embedding import EmbeddedGraph, FaceStructure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegerChain:
     """An antisymmetric integer labelling of darts, one coefficient per edge.
 
     coeffs[i] is the value on dart 2i; dart 2i+1 carries -coeffs[i].
     size, the total mass (the sum of absolute coefficients), is computed
-    once, when the chain is made.
+    once, when the chain is made.  Slots keep a chain to its two fields,
+    with no instance dict.
     """
 
     coeffs: tuple[int, ...]
@@ -41,7 +42,7 @@ class IntegerChain:
     def of_walk(cls, m: int, darts: tuple[int, ...]) -> "IntegerChain":
         c = [0] * m
         for d in darts:
-            c[d >> 1] += 1 if d % 2 == 0 else -1
+            c[d >> 1] += 1 - ((d & 1) << 1)
         return cls(coeffs=tuple(c))
 
     def dart_coeff(self, d: int) -> int:
@@ -54,7 +55,7 @@ class IntegerChain:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.size == 0
 
     def __add__(self, other: "IntegerChain") -> "IntegerChain":
         return IntegerChain(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))

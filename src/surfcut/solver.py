@@ -13,9 +13,12 @@ reads the walk table only to depth D = min(m, floor(U * F)), and scans sums
 of at most genus+1 tagged walks whose crossing vectors cancel: one pass over
 the walks sorted by chain mass, cut off where the mass passes floor(best * F)
 for the best value found so far, with the last walk of each sum looked up by
-the crossing vector that cancels the rest.  The best chain becomes a vertex
-cut by thresholding a potential function, which can only improve the score.
-The two values must agree at the optimum, and the solver checks that.
+the crossing vector that cancels the rest.  That sorted list and its
+crossing-vector lookup do not depend on f, so each walk table builds them
+once, and the solves that read one table share them.  The best chain
+becomes a vertex cut by thresholding a potential function, which can only
+improve the score.  The two values must agree at the optimum, and the
+solver checks that.
 """
 
 from __future__ import annotations
@@ -153,24 +156,19 @@ def combine_and_minimize(
     of total size at most OPT * F <= best * F for the best value found so
     far, and at most m.  So only multisets of walks whose chain sizes (their
     mass) sum to at most limit = min(m, floor(best * F)) are scanned, and
-    the limit tightens as best improves.  The walks are sorted by mass and
-    each multiset is taken once, as a nondecreasing index sequence.  A slot
-    that has `left` slots still to fill stops at the first walk with
-    mass + its mass * left > limit: every later walk weighs at least as
-    much, so this prune is exact.  It is strict, so chains tied at the best
-    value are still scanned.  The last slot must cancel the crossings so
-    far, so it reads only the walks with that crossing vector.  Ties break
-    on value, then chain size, then chain coefficients.  None when no sum
-    in the table has cancelling crossings and a proper balance.
+    the limit tightens as best improves.  The walks are read from the
+    table's `by_mass` index, sorted by mass once per table object rather
+    than once per call, and each multiset is taken once, as a nondecreasing
+    index sequence into it.  A slot that has `left` slots still to fill
+    stops at the first walk with mass + its mass * left > limit: every
+    later walk weighs at least as much, so this prune is exact.  It is
+    strict, so chains tied at the best value are still scanned.  The last
+    slot must cancel the crossings so far, so it reads only the walks with
+    that crossing vector.  Ties break on value, then chain size, then chain
+    coefficients.  None when no sum in the table has cancelling crossings
+    and a proper balance.
     """
-    entries = sorted(
-        (walk.chain.size, (walk.k, walk.v), walk.chain)
-        for walk in cover.walks.values()
-        if not walk.chain.is_zero
-    )
-    by_v: dict[tuple[int, ...], list[int]] = {}
-    for i, (_, (_, v), _) in enumerate(entries):
-        by_v.setdefault(v, []).append(i)
+    entries, by_v = cover.by_mass
 
     fcache: dict[int, Fraction] = {}
 
@@ -287,7 +285,8 @@ class SolveContext:
     balance functions reuses them.  The weight holds the one BFS tree that
     the loops and the subtree cuts behind U read.
     The context keeps the deepest walk table it has built and answers any
-    depth up to it by restricting that table.
+    depth up to it by restricting that table; solves at that table's depth
+    read the one table object and so share its combine index.
     """
 
     def __init__(self, g: EmbeddedGraph, root: int = 0):

@@ -240,6 +240,19 @@ DIFFERENTIAL_GRAPHS = {
 }
 
 
+def test_walks_come_in_tag_order():
+    # the tag digits of a state int sort like (k, v), so the table is built
+    # in tag order, and the dump and combine rely on that
+    graphs = [grid_torus(4, 4), *seeded_multigraphs(2, 6, seed=2), *seeded_multigraphs(3, 4, seed=3)]
+    for g in graphs:
+        ctx = SolveContext(g)
+        depth = solver_depth(ctx)
+        for d in (depth, depth - 1):
+            cover = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, d)
+            assert len(cover.walks) > 1
+            assert list(cover.walks) == sorted(cover.walks), (g.n, g.m, d)
+
+
 @pytest.mark.parametrize("family", list(DIFFERENTIAL_GRAPHS))
 def test_pruned_search_matches_unpruned_reference(family):
     # the prune drops only states that cannot close within the depth, so

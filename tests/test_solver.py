@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from surfcut import homology, solver
-from surfcut.balance import density, parse_custom, quotient
+from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders, grid_torus
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import mirror_image
@@ -108,6 +108,8 @@ def test_combine_on_single_edge(corpus_contexts):
 
 def test_combine_without_a_cancelling_sum_returns_none(corpus_contexts):
     ctx = corpus_contexts["k4_torus"]
+    # the index of ctx.cover is built first; a replaced table must not inherit it
+    assert ctx.cover.by_mass[0]
     empty = dataclasses.replace(ctx.cover, walks={})
     assert combine_and_minimize(empty, ctx.loops, quotient(), ctx.g.n, ctx.g.m) is None
 
@@ -213,6 +215,16 @@ def test_context_caches_walk_table(corpus_graphs, monkeypatch):
     assert c.cover.walks == {
         key: walk for key, walk in ctx.cover.walks.items() if walk.length <= c.cover.depth_cap
     }
+
+
+def test_solves_at_one_depth_share_one_table_and_index(corpus_graphs):
+    # the combine index does not depend on f, so the four solves of a
+    # genus-2 context that all read depth 6 build it once
+    ctx = SolveContext(corpus_graphs["k5_g2"])
+    tables = [ctx.solve_detailed(f).cover for f in (quotient(), density(), make_balance("expansion"), CUSTOM)]
+    assert {table.depth_cap for table in tables} == {6} and ctx.g.m == 10
+    assert all(table is tables[0] for table in tables)
+    assert all(table.by_mass is tables[0].by_mass for table in tables)
 
 
 def test_solver_errors_name_the_instance(corpus_graphs, monkeypatch):

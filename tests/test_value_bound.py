@@ -12,10 +12,11 @@ from fractions import Fraction
 from operator import add
 
 import pytest
+from test_fuzz import seeded_multigraphs
 
 from surfcut.balance import density, parse_custom, quotient
 from surfcut.construct import find_embedding, grid_torus, random_planar
-from surfcut.cover import shortest_tagged_walks
+from surfcut.cover import restrict, shortest_tagged_walks
 from surfcut.solver import SolveContext, recover_cut
 
 CUSTOM = parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")
@@ -112,3 +113,23 @@ def test_bounded_solve_matches_unbounded(name, contexts):
         assert shallow.depth_cap == depth
         assert shallow.walks == {k: w for k, w in full.walks.items() if w.length <= depth}, label
         assert det.cover.walks == shallow.walks, label
+
+
+def test_restricted_table_indexes_its_own_walks(corpus_contexts):
+    # the combine index is cached per table object: a restricted table,
+    # read after the deeper table's index, must index only its own walks.
+    # The corpus tables are cheap to depth m; the seeded ones (None) go one
+    # dart past the solve depth.
+    cases = [(ctx, ctx.g.m) for ctx in corpus_contexts.values()]
+    cases += [(SolveContext(g), None) for g in (*seeded_multigraphs(2, 6, seed=2), *seeded_multigraphs(3, 4, seed=3))]
+    checked = 0
+    for ctx, deep_depth in cases:
+        solve_depth = ctx.solve_detailed(quotient()).cover.depth_cap
+        deep_depth = deep_depth or min(ctx.g.m, solve_depth + 1)
+        deep = ctx.walk_table(deep_depth)
+        assert deep.by_mass[0]
+        for depth in {solve_depth, solve_depth // 2} - {deep_depth}:
+            fresh = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
+            assert restrict(deep, depth).by_mass == fresh.by_mass, (ctx.g.n, ctx.g.m, depth)
+            checked += 1
+    assert checked >= 60
