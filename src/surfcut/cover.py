@@ -27,21 +27,24 @@ sequences.
 
 Each run prunes with an admissible bound, as in A* (Hart, Nilsson & Raphael
 1968): with dist(u) the fewest darts >= d0 from face u back to the start
-face, a state at level l on face u is expanded only when l + dist(u) <= D.
-Any other state has no closed walk within D darts through it.  The bound
-never falls along a path, since a dart from u' to u gives dist(u') <=
-dist(u) + 1, so each kept state's first path has every prefix kept, and
-the kept states are met in the same FIFO order as without the prune.  The
-table is therefore unchanged; only the states visited drop.  A closed
-state's walk is rebuilt from the parent darts only when it is shorter than
-the walk its tag already has.
+face t0, and dist(t0) = 1 since leaving t0 and closing again takes at least
+one dart, a state at level l on face u is expanded only when
+l + dist(u) <= D.  Any other state has no closed walk within D darts
+through it.  The bound never falls along a path, since a dart from u' to u
+gives dist(u') <= dist(u) + 1 (at t0 too: raising dist(t0) to 1 only
+grows the right side when u = t0, and 1 <= dist(u) + 1 when u' = t0), so
+each kept state's first path has every prefix kept, and the kept states
+are met in the same FIFO order as without the prune.  The table is therefore
+unchanged; only the states visited drop.  Closed states are checked on the
+frontier, where the loop holds their face and level, and a closed state's
+walk is rebuilt from the parent darts only when it is shorter than the
+walk its tag already has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
 
 from surfcut.dual import IntegerChain
 from surfcut.embedding import EmbeddedGraph
@@ -121,9 +124,11 @@ def shortest_tagged_walks(
     depth + 1), and expands a frontier state at level l on face u only when
     l + dist[u] <= depth.  That drops exactly the states with no closed walk
     of at most `depth` darts through them, and leaves the first path of
-    every other state, and so every stored walk, as it was.  `visited` fills
-    level by level, so a count per level gives each closed state's length,
-    and its darts are rebuilt only when that beats the stored walk's length.
+    every other state, and so every stored walk, as it was.  Each frontier
+    state is checked for closing before the prune, at the level the loop is
+    on, which is its walk's length, and its darts are rebuilt only when that
+    beats the stored walk's length.  With dist[t0] = 1 no state at level
+    `depth` passes the prune, so a run ends when its frontier is empty.
     """
     m = dual.m
     n = len(w.order)
@@ -174,59 +179,46 @@ def shortest_tagged_walks(
                     dist[y] = dist[x] + 1
                     queue.append(y)
 
+        # leaving t0 and closing again takes at least one dart
+        dist[t0] = 1
+
         origin = t0 + offset
-        visited = {origin: -1}
-        # per_level[l]: how many states the run first reached at level l
-        per_level = [1]
         # a zero step is a dart back to the origin; at depth 0 the box has
         # no room for a dart, and no walk may take one
-        if depth and step[d0]:
-            frontier = [origin + step[d0]]
-            visited[frontier[0]] = d0
-            per_level.append(1)
-            level = 1
-            while frontier and level < depth:
-                budget = depth - level
-                nxt = []
-                for s in frontier:
-                    u = s % faces
-                    if dist[u] > budget:
-                        continue
-                    for st, d in moves[u]:
-                        ns = s + st
-                        if ns not in visited:
-                            visited[ns] = d
-                            nxt.append(ns)
-                frontier = nxt
-                per_level.append(len(nxt))
-                level += 1
+        frontier = [origin + step[d0]] if depth and step[d0] else []
+        visited = {origin: -1, **dict.fromkeys(frontier, d0)}
+        level = 1
+        while frontier:
+            budget = depth - level
+            nxt = []
+            for s in frontier:
+                u = s % faces
+                if u == t0:
+                    # a closed walk of `level` darts; a walk stored by an
+                    # earlier run starts with a smaller dart, and one run
+                    # reaches each tag at most once, so at equal length the
+                    # stored walk is the lexicographically smaller one
+                    q = s // faces
+                    cur = best.get(q)
+                    if cur is None or level < len(cur):
+                        darts = []
+                        x, d = s, visited[s]
+                        while d != -1:
+                            darts.append(d)
+                            x -= step[d]
+                            d = visited[x]
+                        best[q] = tuple(reversed(darts))
+                if dist[u] > budget:
+                    continue
+                for st, d in moves[u]:
+                    ns = s + st
+                    if ns not in visited:
+                        visited[ns] = d
+                        nxt.append(ns)
+            frontier = nxt
+            level += 1
         moves[t0].pop(0)
         states_per_start.append(len(visited))
-
-        # visited holds the levels in order and a state's level is the
-        # length of its walk, so a walk is rebuilt only when it beats the
-        # stored one
-        states = iter(visited.items())
-        next(states)
-        for level, count in enumerate(per_level[1:], 1):
-            for s, last in islice(states, count):
-                if s % faces != t0:
-                    continue
-                q = s // faces
-                cur = best.get(q)
-                # a walk stored by an earlier run starts with a smaller dart,
-                # and one run reaches each tag at most once, so at equal
-                # length the stored walk is the lexicographically smaller one
-                if cur is None or level < len(cur):
-                    darts = []
-                    x, d = s, last
-                    while d != -1:
-                        darts.append(d)
-                        x -= step[d]
-                        d = visited[x]
-                    best[q] = tuple(reversed(darts))
-        # the iterator holds this run's states until it is dropped
-        del states
 
     # q sorts like the tag, so the table comes out in tag order; each q is
     # decoded from its highest digit, k, down to v_2g

@@ -141,7 +141,6 @@ class CombineResult:
     """Best null-homologous combination found in the walk table."""
 
     sigma: IntegerChain
-    k: int
     value: Fraction
     walks_used: tuple[tuple[int, tuple[int, ...]], ...]
     candidates: int
@@ -191,7 +190,7 @@ def combine_and_minimize(
         value = Fraction(chain.size) / fval(abs(k))
         key = (value, chain.size, chain.coeffs)
         if best is None or key < best[0]:
-            best = (key, chain, k, picked)
+            best = (key, chain, picked)
             limit = min(m, floor(value * peak))
 
     def extend(picked: tuple[int, ...], left: int, k: int, v: tuple[int, ...], mass: int):
@@ -217,10 +216,9 @@ def combine_and_minimize(
 
     if best is None:
         return None
-    (value, _, _), sigma, k, picked = best
+    (value, _, _), sigma, picked = best
     return CombineResult(
         sigma=sigma,
-        k=k,
         value=value,
         walks_used=tuple(entries[i][1] for i in picked),
         candidates=candidates,

@@ -10,7 +10,7 @@ from test_fuzz import seeded_multigraphs
 
 from surfcut.balance import quotient
 from surfcut.construct import complete_edges, cycle_edges, find_embedding, grid_torus, random_planar
-from surfcut.cover import dump_walks, shortest_tagged_walks
+from surfcut.cover import dump_walks, restrict, shortest_tagged_walks
 from surfcut.dual import IntegerChain, build_dual
 from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
@@ -274,3 +274,18 @@ def test_prune_drops_states():
     cover = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
     _, states = reference_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
     assert sum(cover.states_per_start) < sum(states)
+
+
+def test_every_depth_is_the_deepest_table_restricted(corpus_contexts):
+    # a walk of exactly d darts is closed on the last level a depth-d run
+    # reaches, so every depth is checked, not only the solve depths; small
+    # corpus files go to depth m, seeded multigraphs one past the solve depth
+    names = ("k4_doubled", "k33_torus", "series33_g2", "c4_doubled_g2")
+    cases = [(ctx, ctx.g.m) for ctx in map(corpus_contexts.get, names)]
+    seeded = map(SolveContext, (*seeded_multigraphs(2, 4, seed=2), *seeded_multigraphs(3, 3, seed=3)))
+    cases += [(ctx, min(ctx.g.m, solver_depth(ctx) + 1)) for ctx in seeded]
+    for ctx, top in cases:
+        full = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, top)
+        for d in range(top + 1):
+            cover = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, d)
+            assert list(cover.walks.items()) == list(restrict(full, d).walks.items()), (ctx.g.n, ctx.g.m, d)

@@ -4,7 +4,8 @@ Hypothesis draws connected loopless multigraphs with up to 8 vertices and
 random rotations, keeping those of genus at most 2.  The settings are
 derandomized with a fixed example count, so every run checks the same
 graphs.  A seeded draw of denser multigraphs embedded at genus 3 reaches
-six crossing coordinates, which no corpus file has.
+six crossing coordinates, which no corpus file has, and seeded draws with
+9-10 vertices at genus 2 and 3 go past the hypothesis graphs' 8.
 """
 
 import random
@@ -53,12 +54,12 @@ def test_solve_matches_oracle(g):
         assert score_cut(g, got.S, f) == got
 
 
-def seeded_multigraphs(target_genus: int, count: int, seed: int):
-    """`count` connected loopless multigraphs, n 3-6 and m n+2g-1 to n+2g+2, at genus g."""
+def seeded_multigraphs(target_genus: int, count: int, seed: int, n_range: tuple[int, int] = (3, 6)):
+    """`count` connected loopless multigraphs, n in n_range and m n+2g-1 to n+2g+2, at genus g."""
     rng = random.Random(seed)
     found = []
     for _ in range(200):
-        n = rng.randint(3, 6)
+        n = rng.randint(*n_range)
         m = rng.randint(n + 2 * target_genus - 1, n + 2 * target_genus + 2)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
         while len(edges) < m:
@@ -72,11 +73,21 @@ def seeded_multigraphs(target_genus: int, count: int, seed: int):
     raise AssertionError(f"only {len(found)} genus-{target_genus} embeddings in 200 draws")
 
 
-def test_genus3_solves_match_oracle():
-    for g in seeded_multigraphs(3, 8, seed=3):
+def check_against_oracle(graphs, target_genus: int):
+    """Quotient and density solves of each graph, at its genus, against the oracle."""
+    for g in graphs:
         ctx = SolveContext(g)
-        assert ctx.genus == 3
+        assert ctx.genus == target_genus
         for f in (quotient(), density()):
             got = ctx.solve(f)
             assert got.value == brute_force_cut(g, f).best.value, (g.n, g.m, f.kind)
             assert score_cut(g, got.S, f) == got
+
+
+def test_genus3_solves_match_oracle():
+    check_against_oracle(seeded_multigraphs(3, 8, seed=3), 3)
+
+
+def test_multigraphs_past_eight_vertices_match_oracle():
+    for target_genus, seed in ((2, 9), (3, 10)):
+        check_against_oracle(seeded_multigraphs(target_genus, 4, seed=seed, n_range=(9, 10)), target_genus)

@@ -100,7 +100,7 @@ def test_combine_on_single_edge(corpus_contexts):
     ctx = corpus_contexts["k2"]
     comb = combine_and_minimize(ctx.cover, ctx.loops, quotient(), ctx.g.n, ctx.g.m)
     assert comb.sigma.coeffs == (-1,)
-    assert comb.k == -1
+    assert ctx.weight.values.dot(comb.sigma) == -1
     assert comb.value == Fraction(2)
     assert len(comb.walks_used) == 1
     assert comb.candidates == 2
@@ -140,7 +140,7 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
             key = (Fraction(chain.size) / f(Fraction(abs(k), n)), chain.size, chain.coeffs, k)
             best = key if best is None else min(best, key)
     comb = combine_and_minimize(ctx.cover, ctx.loops, f, n, m)
-    assert (comb.value, comb.sigma.coeffs, comb.k) == (best[0], best[2], best[3])
+    assert (comb.value, comb.sigma.coeffs, ctx.weight.values.dot(comb.sigma)) == (best[0], best[2], best[3])
     # the mass limit floor(best * F) starts at m and never drops below floor(OPT * F)
     floor_limit = math.floor(best[0] * balance_peak(f, n))
     assert sum(1 for x in masses if x <= floor_limit) <= comb.candidates <= len(masses)
