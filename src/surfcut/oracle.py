@@ -3,16 +3,20 @@
 Subset enumeration scores every proper cut from the definition, building
 each side from a smaller one plus its top vertex so that a cut size costs a
 few popcounts; loops are never cut and are skipped.  A cut's value depends
-only on its size and |S|, so the balance function is called once per such
-pair.  Walk enumeration lists all short closed walks of a dual up to
-rotation and reversal, giving an independent check of the tagged walk
-table.  Both blow up exponentially and carry hard caps.
+only on its size and |S|, and at a fixed |S| it rises with the size, so the
+best cut is found with one balance function call per side size, from each
+size's fewest cut.  The value of every side is built only when it is read.
+Walk enumeration lists all short closed walks of a dual up to rotation and
+reversal, giving an independent check of the tagged walk table.  Both blow
+up exponentially and carry hard caps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import TaggedWalk
@@ -24,11 +28,42 @@ from surfcut.solver import CutResult, score_cut
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Every cut of a graph, scored, with the best and a connected witness."""
+    """Every cut of a graph, scored, with the best and a connected witness.
+
+    all_values maps each side S holding vertex 0 to its value.  Its length
+    is known from the scan; its first key or value read builds the dict,
+    calling f once per (cut size, |S|) pair that `best` did not score.
+    """
 
     best: CutResult
     minimal_witness: CutResult | None
-    all_values: dict[tuple[int, ...], Fraction]
+    all_values: Mapping[tuple[int, ...], Fraction]
+
+
+class _SideValues(Mapping):
+    """A read-only side -> value dict that `build` makes on the first read."""
+
+    def __init__(self, size: int, build: Callable[[], dict[tuple[int, ...], Fraction]]):
+        self._size = size
+        self._build = build
+        self._values: dict[tuple[int, ...], Fraction] | None = None
+
+    def _dict(self) -> dict[tuple[int, ...], Fraction]:
+        if self._values is None:
+            self._values, self._build = self._build(), None
+        return self._values
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, S: tuple[int, ...]) -> Fraction:
+        return self._dict()[S]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._dict())
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
 
 
 def _side_connected(g: EmbeddedGraph, side: set[int]) -> bool:
@@ -52,13 +87,16 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
     also the insertion order of `all_values`.  A side S with top vertex v
     follows its parent S - v, visited earlier: cut(S) = cut(S - v) + deg(v)
     - 2 e(v, S - v), with e read off v's neighbour-multiplicity masks by
-    popcount.  Loop edges are skipped, since no side ever cuts one.  The
-    value |cut| / f(|S| / n) depends on (|cut|, |S|) alone, so `f` is called
-    once per distinct pair and the sides sharing a pair share its value.
-    Only the sides tied at the minimum are sorted, by (|cut|, S), the
-    `CutResult.sort_key` order; `best` is the first of them and
+    popcount.  Loop edges are skipped, since no side ever cuts one.  Each
+    side's (|cut|, |S|) is packed into one int key, |cut| << shift | |S|,
+    and taken from its parent's key.  The value |cut| / f(|S| / n) depends
+    on the key alone and, at a fixed |S|, rises with |cut|, so only each
+    size's fewest cut can be least: `best` costs one `f` call per size.
+    Only the sides tied at the minimum are built and sorted, by (|cut|, S),
+    the `CutResult.sort_key` order; `best` is the first of them and
     `minimal_witness` the first whose S and complement are both connected,
-    each scored by `score_cut`.
+    each scored by `score_cut`.  `all_values` is built on its first read,
+    with `f` called once per distinct key.
     """
     n = g.n
     if n > cap:
@@ -76,27 +114,36 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
     layers = [
         [sum(1 << u for u in range(n) if row[u] > j) for j in range(max(row))] for row in count
     ]
-    # sides[i] is the side 2i + 1: vertex v >= 1 is in it when bit v - 1 of i is
-    sides: list[tuple[int, ...]] = [(0,)]
-    cuts = [deg[0]]
-    for i in range(1, 2 ** (n - 1) - 1):
-        v = i.bit_length()
-        p = i ^ (1 << (v - 1))
-        c = cuts[p] + deg[v]
+    # keys[i] belongs to the side 2i + 1: vertex v >= 1 is in it when bit
+    # v - 1 of i is.  The sides with top vertex v are i = 2^(v-1) + p, whose
+    # parents p come first; the last of them, the whole vertex set, is left out
+    shift = n.bit_length()
+    size_mask = (1 << shift) - 1
+    total = 2 ** (n - 1) - 1
+    keys = [deg[0] << shift | 1]
+    for v in range(1, n):
+        step = deg[v] << shift | 1
+        parents = keys[: min(1 << (v - 1), total - len(keys))]
         for lay in layers[v]:
-            c -= 2 * ((2 * p + 1) & lay).bit_count()
-        cuts.append(c)
-        sides.append(sides[p] + (v,))
-    values: dict[tuple[int, int], Fraction] = {}
-    all_values: dict[tuple[int, ...], Fraction] = {}
-    for c, S in zip(cuts, sides):
-        key = (c, len(S))
-        if key not in values:
-            values[key] = Fraction(c) / f(Fraction(len(S), n))
-        all_values[S] = values[key]
-    low = min(values.values())
-    tied_keys = {key for key, value in values.items() if value == low}
-    tied = sorted((c, S) for c, S in zip(cuts, sides) if (c, len(S)) in tied_keys)
+            # e(v, S - v) counts vertex 0 from bit 0 of lay, the rest from p
+            step -= (lay & 1) << (shift + 1)
+            rest = lay >> 1
+            parents = [key - ((p & rest).bit_count() << (shift + 1)) for p, key in enumerate(parents)]
+        keys += [key + step for key in parents]
+
+    def value(key: int) -> Fraction:
+        return Fraction(key >> shift) / f(Fraction(key & size_mask, n))
+
+    fewest: dict[int, int] = {}
+    for key in sorted(set(keys)):
+        fewest.setdefault(key & size_mask, key)
+    scored = {key: value(key) for key in fewest.values()}
+    low = min(scored.values())
+    tied_keys = {key for key, val in scored.items() if val == low}
+    tied = sorted(
+        (keys[i] >> shift, tuple(v for v in range(n) if (2 * i + 1) >> v & 1))
+        for i in compress(range(total), map(tied_keys.__contains__, keys))
+    )
     best = score_cut(g, tied[0][1], f)
     witness = None
     for _, S in tied:
@@ -104,7 +151,17 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
         if _side_connected(g, side) and _side_connected(g, set(range(n)) - side):
             witness = score_cut(g, S, f)
             break
-    return OracleReport(best=best, minimal_witness=witness, all_values=all_values)
+
+    def all_values() -> dict[tuple[int, ...], Fraction]:
+        sides: list[tuple[int, ...]] = [(0,)]
+        for v in range(1, n):
+            sides += [S + (v,) for S in sides[: min(1 << (v - 1), total - len(sides))]]
+        for key in keys:
+            if key not in scored:
+                scored[key] = value(key)
+        return {S: scored[key] for S, key in zip(sides, keys)}
+
+    return OracleReport(best=best, minimal_witness=witness, all_values=_SideValues(total, all_values))
 
 
 def _represents_class(seq: tuple[int, ...]) -> bool:

@@ -283,14 +283,16 @@ class SolveContext:
     balance functions reuses them.  The weight holds the one BFS tree that
     the loops and the subtree cuts behind U read.
     The context keeps the deepest walk table it has built and answers any
-    depth up to it by restricting that table; solves at that table's depth
-    read the one table object and so share its combine index.
+    depth up to it by restricting that table, once per depth: solves at one
+    depth read one table object and so share its combine index.  A deeper
+    table replaces the deepest and drops the restrictions of the old one.
     """
 
     def __init__(self, g: EmbeddedGraph, root: int = 0):
         self.g = g
         self.root = root
         self._table: CoverResult | None = None
+        self._restricted: dict[int, CoverResult] = {}
 
     @cached_property
     def faces(self) -> FaceStructure:
@@ -325,7 +327,10 @@ class SolveContext:
         """The walk table of walks with at most `depth` darts."""
         if self._table is None or self._table.depth_cap < depth:
             self._table = shortest_tagged_walks(self.dual, self.weight, self.loops, depth)
-        return restrict(self._table, depth)
+            self._restricted = {}
+        if depth not in self._restricted:
+            self._restricted[depth] = restrict(self._table, depth)
+        return self._restricted[depth]
 
     @property
     def cover(self) -> CoverResult:

@@ -1,10 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from surfcut.balance import density, make_balance, parse_custom, quotient
-from surfcut.construct import random_planar
+from surfcut.balance import BalanceFunction, density, make_balance, parse_custom, quotient
+from surfcut.construct import cycle_edges, random_planar
+from surfcut.dual import cut_chain
+from surfcut.embedding import EmbeddedGraph
 from surfcut.oracle import (
     brute_force_cut,
     enumerate_closed_walks,
@@ -107,6 +110,92 @@ def test_brute_force_matches_plain_scoring(corpus_graphs, corpus_contexts):
             assert list(report.all_values.items()) == [(r.S, r.value) for r in results]
             assert report.best == best
             assert report.minimal_witness == witness
+
+
+def _count_balance_calls(monkeypatch) -> list:
+    calls = []
+    call = BalanceFunction.__call__
+
+    def counted(f, x):
+        calls.append(x)
+        return call(f, x)
+
+    monkeypatch.setattr(BalanceFunction, "__call__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["c5", "k4", "k33_torus", "series33_g2", "apollonian12_del"])
+def test_best_calls_f_once_per_side_size(name, corpus_graphs, monkeypatch):
+    # n - 1 sizes, then score_cut once for best and once for the witness;
+    # all_values then adds one call per (cut size, |S|) pair not yet scored
+    g = corpus_graphs[name]
+    sides = [
+        (0,) + tuple(v for v in range(1, g.n) if mask >> (v - 1) & 1)
+        for mask in range(2 ** (g.n - 1) - 1)
+    ]
+    pairs = {(cut_chain(g, S).size, len(S)) for S in sides}
+    calls = _count_balance_calls(monkeypatch)
+    for f in (quotient(), density(), parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")):
+        calls.clear()
+        report = brute_force_cut(g, f)
+        scored = 2 if report.minimal_witness is not None else 1
+        assert len(calls) == g.n - 1 + scored
+        assert len(report.all_values) == 2 ** (g.n - 1) - 1
+        assert len(calls) == g.n - 1 + scored
+        assert list(report.all_values) == sides
+        assert len(calls) == len(pairs) + scored
+
+
+def test_reading_all_values_first_gives_the_same_report(corpus_graphs):
+    g = corpus_graphs["series33_g2"]
+    for f in (quotient(), density()):
+        early = brute_force_cut(g, f)
+        values = dict(early.all_values)
+        late = brute_force_cut(g, f)
+        best, witness = late.best, late.minimal_witness
+        assert dict(late.all_values) == values
+        assert (early.best, early.minimal_witness) == (best, witness)
+        assert early == late
+
+
+def _multigraph(n: int, edges: list[tuple[int, int]]) -> EmbeddedGraph:
+    """Edges in order, each vertex's darts rotated in ascending order."""
+    tails = [x for edge in edges for x in edge]
+    heads = [x for u, v in edges for x in (v, u)]
+    rotation = [0] * len(tails)
+    for v in range(n):
+        ds = [d for d, t in enumerate(tails) if t == v]
+        for a, b in zip(ds, ds[1:] + ds[:1]):
+            rotation[a] = b
+    return EmbeddedGraph(n=n, tails=tuple(tails), heads=tuple(heads), rotation=tuple(rotation), allow_loops=True)
+
+
+def test_sixteen_vertex_multigraph_matches_plain_scoring():
+    # the widest key: |S| fills all of n.bit_length() = 5 bits at n = 16,
+    # and edges of multiplicity up to 4 give each vertex several layers
+    rng = random.Random(16)
+    edges = cycle_edges(16) + [(rng.randrange(16), rng.randrange(16)) for _ in range(12)]
+    edges += [(0, 15), (0, 15), (0, 15), (7, 8), (5, 5), (15, 15)]
+    g = _multigraph(16, edges)
+    assert g.n == 16 and any(u == v for u, v in edges)
+    sides = [
+        [0] + [v for v in range(1, g.n) if mask >> (v - 1) & 1]
+        for mask in range(2 ** (g.n - 1) - 1)
+    ]
+    results = [score_cut(g, S, quotient()) for S in sides]
+    order = sorted(results, key=lambda r: r.sort_key)
+    witness = next(
+        (
+            r for r in order
+            if r.value == order[0].value
+            and _connected(g, set(r.S))
+            and _connected(g, set(range(g.n)) - set(r.S))
+        ),
+        None,
+    )
+    report = brute_force_cut(g, quotient())
+    assert (report.best, report.minimal_witness) == (order[0], witness)
+    assert list(report.all_values.items()) == [(r.S, r.value) for r in results]
 
 
 def test_triangle_dual_walk_classes(corpus_contexts):

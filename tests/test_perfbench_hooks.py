@@ -56,4 +56,7 @@ def test_counted_fields_exist(corpus_contexts):
         assert hasattr(walk.chain, "is_zero") and hasattr(walk.chain, "size")
     comb = solver.combine_and_minimize(cover, ctx.loops, f, ctx.g.n, ctx.g.m)
     assert hasattr(comb, "candidates")
-    assert hasattr(oracle.brute_force_cut(ctx.g, f), "all_values")
+    report = oracle.brute_force_cut(ctx.g, f)
+    # oracle.cuts is this length, which the report answers without building
+    # the side -> value dict
+    assert len(report.all_values) == 2 ** (ctx.g.n - 1) - 1

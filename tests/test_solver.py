@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from surfcut import homology, solver
 from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders, grid_torus
+from surfcut.cover import CoverResult
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import mirror_image
 from surfcut.homology import build_weight
@@ -225,6 +227,27 @@ def test_solves_at_one_depth_share_one_table_and_index(corpus_graphs):
     assert {table.depth_cap for table in tables} == {6} and ctx.g.m == 10
     assert all(table is tables[0] for table in tables)
     assert all(table.by_mass is tables[0].by_mass for table in tables)
+
+
+@pytest.mark.parametrize("name", ["star5", "apollonian9_del"])
+def test_one_index_per_depth_below_the_deepest(name, corpus_graphs, monkeypatch):
+    # the four profiles alternate between two depths here, the second below
+    # the deepest table, and each depth builds its combine index once
+    indexed = []
+    build = CoverResult.by_mass.func
+
+    def counted(cover):
+        indexed.append(cover.depth_cap)
+        return build(cover)
+
+    by_mass = functools.cached_property(counted)
+    by_mass.__set_name__(CoverResult, "by_mass")
+    monkeypatch.setattr(CoverResult, "by_mass", by_mass)
+    ctx = SolveContext(corpus_graphs[name])
+    depths = [ctx.solve_detailed(f).cover.depth_cap for f in (quotient(), density(), make_balance("expansion"), CUSTOM)]
+    assert len(set(depths)) == 2 and depths[:2] == depths[2:]
+    assert sorted(indexed) == sorted(set(depths))
+    assert ctx.walk_table(depths[1]) is ctx.walk_table(depths[1])
 
 
 def test_solver_errors_name_the_instance(corpus_graphs, monkeypatch):
