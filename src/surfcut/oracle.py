@@ -5,7 +5,7 @@ each side from a smaller one plus its top vertex so that a cut size costs a
 few popcounts; loops are never cut and are skipped.  A cut's value depends
 only on its size and |S|, and at a fixed |S| it rises with the size, so the
 best cut is found with one balance function call per side size, from each
-size's fewest cut.  The value of every side is built only when it is read.
+size's fewest cut; only the best cut and a connected witness are kept.
 Walk enumeration lists all short closed walks of a dual up to rotation and
 reversal, giving an independent check of the tagged walk table.  Both blow
 up exponentially and carry hard caps.
@@ -13,7 +13,6 @@ up exponentially and carry hard caps.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -28,42 +27,10 @@ from surfcut.solver import CutResult, score_cut
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Every cut of a graph, scored, with the best and a connected witness.
-
-    all_values maps each side S holding vertex 0 to its value.  Its length
-    is known from the scan; its first key or value read builds the dict,
-    calling f once per (cut size, |S|) pair that `best` did not score.
-    """
+    """The best cut of a graph, and the best one whose two sides are connected."""
 
     best: CutResult
     minimal_witness: CutResult | None
-    all_values: Mapping[tuple[int, ...], Fraction]
-
-
-class _SideValues(Mapping):
-    """A read-only side -> value dict that `build` makes on the first read."""
-
-    def __init__(self, size: int, build: Callable[[], dict[tuple[int, ...], Fraction]]):
-        self._size = size
-        self._build = build
-        self._values: dict[tuple[int, ...], Fraction] | None = None
-
-    def _dict(self) -> dict[tuple[int, ...], Fraction]:
-        if self._values is None:
-            self._values, self._build = self._build(), None
-        return self._values
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, S: tuple[int, ...]) -> Fraction:
-        return self._dict()[S]
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._dict())
-
-    def __repr__(self) -> str:
-        return repr(self._dict())
 
 
 def _side_connected(g: EmbeddedGraph, side: set[int]) -> bool:
@@ -81,22 +48,20 @@ def _side_connected(g: EmbeddedGraph, side: set[int]) -> bool:
 
 
 def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> OracleReport:
-    """Score all 2^(n-1) - 1 cuts whose side S contains vertex 0.
+    """Find the best of the 2^(n-1) - 1 cuts whose side S contains vertex 0.
 
-    Sides are n-bit masks holding bit 0, visited in ascending order, which is
-    also the insertion order of `all_values`.  A side S with top vertex v
-    follows its parent S - v, visited earlier: cut(S) = cut(S - v) + deg(v)
-    - 2 e(v, S - v), with e read off v's neighbour-multiplicity masks by
-    popcount.  Loop edges are skipped, since no side ever cuts one.  Each
-    side's (|cut|, |S|) is packed into one int key, |cut| << shift | |S|,
-    and taken from its parent's key.  The value |cut| / f(|S| / n) depends
-    on the key alone and, at a fixed |S|, rises with |cut|, so only each
-    size's fewest cut can be least: `best` costs one `f` call per size.
-    Only the sides tied at the minimum are built and sorted, by (|cut|, S),
-    the `CutResult.sort_key` order; `best` is the first of them and
-    `minimal_witness` the first whose S and complement are both connected,
-    each scored by `score_cut`.  `all_values` is built on its first read,
-    with `f` called once per distinct key.
+    Sides are n-bit masks holding bit 0, visited in ascending order.  A side S
+    with top vertex v follows its parent S - v, visited earlier: cut(S) =
+    cut(S - v) + deg(v) - 2 e(v, S - v), with e read off v's
+    neighbour-multiplicity masks by popcount.  Loop edges are skipped, since
+    no side ever cuts one.  Each side's (|cut|, |S|) is packed into one int
+    key, |cut| << shift | |S|, and taken from its parent's key.  The value
+    |cut| / f(|S| / n) depends on the key alone and, at a fixed |S|, rises
+    with |cut|, so only each size's fewest cut can be least: `best` costs one
+    `f` call per size.  Only the sides tied at the minimum are built and
+    sorted, by (|cut|, S), the `CutResult.sort_key` order; `best` is the first
+    of them and `minimal_witness` the first whose S and complement are both
+    connected, each scored by `score_cut`.
     """
     n = g.n
     if n > cap:
@@ -131,13 +96,12 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
             parents = [key - ((p & rest).bit_count() << (shift + 1)) for p, key in enumerate(parents)]
         keys += [key + step for key in parents]
 
-    def value(key: int) -> Fraction:
-        return Fraction(key >> shift) / f(Fraction(key & size_mask, n))
-
     fewest: dict[int, int] = {}
     for key in sorted(set(keys)):
         fewest.setdefault(key & size_mask, key)
-    scored = {key: value(key) for key in fewest.values()}
+    scored = {
+        key: Fraction(key >> shift) / f(Fraction(key & size_mask, n)) for key in fewest.values()
+    }
     low = min(scored.values())
     tied_keys = {key for key, val in scored.items() if val == low}
     tied = sorted(
@@ -151,17 +115,7 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
         if _side_connected(g, side) and _side_connected(g, set(range(n)) - side):
             witness = score_cut(g, S, f)
             break
-
-    def all_values() -> dict[tuple[int, ...], Fraction]:
-        sides: list[tuple[int, ...]] = [(0,)]
-        for v in range(1, n):
-            sides += [S + (v,) for S in sides[: min(1 << (v - 1), total - len(sides))]]
-        for key in keys:
-            if key not in scored:
-                scored[key] = value(key)
-        return {S: scored[key] for S, key in zip(sides, keys)}
-
-    return OracleReport(best=best, minimal_witness=witness, all_values=_SideValues(total, all_values))
+    return OracleReport(best=best, minimal_witness=witness)
 
 
 def _represents_class(seq: tuple[int, ...]) -> bool:

@@ -173,7 +173,7 @@ def test_oracle_disagreement_exits_3(monkeypatch, capsys):
             value=report.best.value + Fraction(1),
             expansion=report.best.expansion,
         )
-        return OracleReport(best=fake, minimal_witness=None, all_values={})
+        return OracleReport(best=fake, minimal_witness=None)
 
     monkeypatch.setattr(cli, "brute_force_cut", skewed)
     assert run_cli(str(CORPUS_DIR / "c4.emb"), "--oracle") == 3

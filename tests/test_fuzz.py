@@ -5,7 +5,9 @@ random rotations, keeping those of genus at most 2.  The settings are
 derandomized with a fixed example count, so every run checks the same
 graphs.  A seeded draw of denser multigraphs embedded at genus 3 reaches
 six crossing coordinates, which no corpus file has, and seeded draws with
-9-10 vertices at genus 2 and 3 go past the hypothesis graphs' 8.
+9-10 vertices at genus 2 and 3 go past the hypothesis graphs' 8.  Planar
+graphs with 17-20 vertices and a 20-vertex torus grid go past the oracle's
+default cap of 16.
 """
 
 import random
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from surfcut.balance import density, parse_custom, quotient
-from surfcut.construct import find_embedding, from_cyclic_orders
+from surfcut.construct import find_embedding, from_cyclic_orders, grid_torus, random_planar
 from surfcut.embedding import EmbeddingError, genus
 from surfcut.oracle import brute_force_cut
 from surfcut.solver import SolveContext, score_cut
@@ -73,14 +75,14 @@ def seeded_multigraphs(target_genus: int, count: int, seed: int, n_range: tuple[
     raise AssertionError(f"only {len(found)} genus-{target_genus} embeddings in 200 draws")
 
 
-def check_against_oracle(graphs, target_genus: int):
+def check_against_oracle(graphs, target_genus: int, cap: int = 16):
     """Quotient and density solves of each graph, at its genus, against the oracle."""
     for g in graphs:
         ctx = SolveContext(g)
         assert ctx.genus == target_genus
         for f in (quotient(), density()):
             got = ctx.solve(f)
-            assert got.value == brute_force_cut(g, f).best.value, (g.n, g.m, f.kind)
+            assert got.value == brute_force_cut(g, f, cap).best.value, (g.n, g.m, f.kind)
             assert score_cut(g, got.S, f) == got
 
 
@@ -91,3 +93,9 @@ def test_genus3_solves_match_oracle():
 def test_multigraphs_past_eight_vertices_match_oracle():
     for target_genus, seed in ((2, 9), (3, 10)):
         check_against_oracle(seeded_multigraphs(target_genus, 4, seed=seed, n_range=(9, 10)), target_genus)
+
+
+def test_graphs_past_sixteen_vertices_match_oracle():
+    planar = [random_planar(n, d, seed=n) for n, d in ((17, 1), (18, 2), (19, 3), (20, 4))]
+    check_against_oracle(planar, 0, cap=20)
+    check_against_oracle([grid_torus(4, 5)], 1, cap=20)

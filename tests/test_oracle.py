@@ -1,12 +1,12 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from surfcut.balance import BalanceFunction, density, make_balance, parse_custom, quotient
 from surfcut.construct import cycle_edges, random_planar
-from surfcut.dual import cut_chain
 from surfcut.embedding import EmbeddedGraph
 from surfcut.oracle import (
     brute_force_cut,
@@ -16,27 +16,41 @@ from surfcut.oracle import (
 from surfcut.solver import score_cut
 
 
+def _sides(n: int) -> list[tuple[int, ...]]:
+    """The 2^(n-1) - 1 proper sides holding vertex 0, in ascending mask order."""
+    return [
+        (0,) + tuple(v for v in range(1, n) if mask >> (v - 1) & 1)
+        for mask in range(2 ** (n - 1) - 1)
+    ]
+
+
 def test_enumerates_every_side_containing_vertex_0(corpus_graphs):
     g = corpus_graphs["c4"]
+    results = [score_cut(g, S, quotient()) for S in _sides(g.n)]
     report = brute_force_cut(g, quotient())
-    assert len(report.all_values) == 2 ** (g.n - 1) - 1
-    assert all(0 in S for S in report.all_values)
-    assert report.best.value == min(report.all_values.values())
+    assert report.best == min(results, key=lambda r: r.sort_key)
 
 
 def test_complement_scores_identically(corpus_graphs):
+    # every side scores like its complement, so the sides holding vertex 0
+    # reach the least value over all 2^n - 2 proper sides
     g = corpus_graphs["c5"]
-    report = brute_force_cut(g, density())
-    for S, value in report.all_values.items():
-        comp = [v for v in range(g.n) if v not in S]
-        assert score_cut(g, comp, density()).value == value
+    values = {}
+    for size in range(1, g.n):
+        for S in itertools.combinations(range(g.n), size):
+            values[S] = score_cut(g, S, density()).value
+    for S, value in values.items():
+        assert values[tuple(v for v in range(g.n) if v not in S)] == value
+    assert brute_force_cut(g, density()).best.value == min(values.values())
 
 
 def test_c4_quotient_values(corpus_graphs):
-    report = brute_force_cut(corpus_graphs["c4"], quotient())
+    g = corpus_graphs["c4"]
+    report = brute_force_cut(g, quotient())
     assert report.best.value == Fraction(4)
-    assert report.all_values[(0,)] == Fraction(8)
-    assert report.all_values[(0, 2)] == Fraction(8)
+    assert score_cut(g, (0,), quotient()).value == Fraction(8)
+    assert score_cut(g, (0, 2), quotient()).value == Fraction(8)
+    assert report.best == score_cut(g, (0, 1), quotient())
 
 
 @pytest.mark.parametrize("name", ["p4", "k4", "k33_torus", "series33_g2"])
@@ -89,12 +103,8 @@ def test_brute_force_matches_plain_scoring(corpus_graphs, corpus_contexts):
         corpus_contexts["apollonian12_del"].dual,  # 15 vertices, 1 loop
     ]
     for g in graphs:
-        sides = [
-            [0] + [v for v in range(1, g.n) if mask >> (v - 1) & 1]
-            for mask in range(2 ** (g.n - 1) - 1)
-        ]
         for f in profiles:
-            results = [score_cut(g, S, f) for S in sides]
+            results = [score_cut(g, S, f) for S in _sides(g.n)]
             order = sorted(results, key=lambda r: r.sort_key)
             best = order[0]
             witness = next(
@@ -107,7 +117,6 @@ def test_brute_force_matches_plain_scoring(corpus_graphs, corpus_contexts):
                 None,
             )
             report = brute_force_cut(g, f)
-            assert list(report.all_values.items()) == [(r.S, r.value) for r in results]
             assert report.best == best
             assert report.minimal_witness == witness
 
@@ -126,36 +135,36 @@ def _count_balance_calls(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ["c5", "k4", "k33_torus", "series33_g2", "apollonian12_del"])
 def test_best_calls_f_once_per_side_size(name, corpus_graphs, monkeypatch):
-    # n - 1 sizes, then score_cut once for best and once for the witness;
-    # all_values then adds one call per (cut size, |S|) pair not yet scored
+    # n - 1 sizes, then score_cut once for best and once for the witness
     g = corpus_graphs[name]
-    sides = [
-        (0,) + tuple(v for v in range(1, g.n) if mask >> (v - 1) & 1)
-        for mask in range(2 ** (g.n - 1) - 1)
-    ]
-    pairs = {(cut_chain(g, S).size, len(S)) for S in sides}
     calls = _count_balance_calls(monkeypatch)
     for f in (quotient(), density(), parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")):
         calls.clear()
         report = brute_force_cut(g, f)
         scored = 2 if report.minimal_witness is not None else 1
         assert len(calls) == g.n - 1 + scored
-        assert len(report.all_values) == 2 ** (g.n - 1) - 1
-        assert len(calls) == g.n - 1 + scored
-        assert list(report.all_values) == sides
-        assert len(calls) == len(pairs) + scored
 
 
-def test_reading_all_values_first_gives_the_same_report(corpus_graphs):
+def test_repeated_calls_give_the_same_report(corpus_graphs):
     g = corpus_graphs["series33_g2"]
     for f in (quotient(), density()):
         early = brute_force_cut(g, f)
-        values = dict(early.all_values)
         late = brute_force_cut(g, f)
-        best, witness = late.best, late.minimal_witness
-        assert dict(late.all_values) == values
-        assert (early.best, early.minimal_witness) == (best, witness)
         assert early == late
+
+
+def test_report_holds_no_per_side_data():
+    # with the report still referenced, nothing of the scan's 131071 sides
+    # at n = 18 may stay allocated: the report is two CutResults
+    g = random_planar(18, 2, seed=18)
+    tracemalloc.start()
+    try:
+        report = brute_force_cut(g, quotient(), cap=18)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.best.S[0] == 0
+    assert held < 2**20, held
 
 
 def _multigraph(n: int, edges: list[tuple[int, int]]) -> EmbeddedGraph:
@@ -178,11 +187,7 @@ def test_sixteen_vertex_multigraph_matches_plain_scoring():
     edges += [(0, 15), (0, 15), (0, 15), (7, 8), (5, 5), (15, 15)]
     g = _multigraph(16, edges)
     assert g.n == 16 and any(u == v for u, v in edges)
-    sides = [
-        [0] + [v for v in range(1, g.n) if mask >> (v - 1) & 1]
-        for mask in range(2 ** (g.n - 1) - 1)
-    ]
-    results = [score_cut(g, S, quotient()) for S in sides]
+    results = [score_cut(g, S, quotient()) for S in _sides(g.n)]
     order = sorted(results, key=lambda r: r.sort_key)
     witness = next(
         (
@@ -195,7 +200,6 @@ def test_sixteen_vertex_multigraph_matches_plain_scoring():
     )
     report = brute_force_cut(g, quotient())
     assert (report.best, report.minimal_witness) == (order[0], witness)
-    assert list(report.all_values.items()) == [(r.S, r.value) for r in results]
 
 
 def test_triangle_dual_walk_classes(corpus_contexts):

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ def _load_spans():
     return mod
 
 
-LAYER_CALLS = _load_spans().LAYER_CALLS
+SPANS_MODULE = _load_spans()
+LAYER_CALLS = SPANS_MODULE.LAYER_CALLS
 
 
 @pytest.mark.parametrize("module,path,span", LAYER_CALLS, ids=[c[2] for c in LAYER_CALLS])
@@ -57,6 +59,9 @@ def test_counted_fields_exist(corpus_contexts):
     comb = solver.combine_and_minimize(cover, ctx.loops, f, ctx.g.n, ctx.g.m)
     assert hasattr(comb, "candidates")
     report = oracle.brute_force_cut(ctx.g, f)
-    # oracle.cuts is this length, which the report answers without building
-    # the side -> value dict
-    assert len(report.all_values) == 2 ** (ctx.g.n - 1) - 1
+    # the report keeps no per-side values, so the oracle.cuts counter,
+    # which reads their count, reads 0
+    assert not hasattr(report, "all_values")
+    counts = Counter()
+    SPANS_MODULE.COUNTERS["oracle.brute_force"](counts, report, (ctx.g, f))
+    assert counts["oracle.cuts"] == 0
