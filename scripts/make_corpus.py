@@ -3,7 +3,8 @@
 Every instance is deterministic: small rotation searches are exhaustive in
 lex order, randomized builders take fixed seeds.  Each .emb file gets a
 manifest entry recording the intended genus, which the test suite re-derives
-independently from the file.
+independently from the file.  `corpus_files` builds every file's text and
+writes nothing; tests/test_construct.py compares it with corpus/.
 """
 
 from __future__ import annotations
@@ -86,20 +87,27 @@ def build_instances():
     return out
 
 
-def main():
-    CORPUS.mkdir(exist_ok=True)
+def corpus_files() -> dict[str, str]:
+    """The text of every corpus file by file name: the .emb files in build
+    order, then manifest.json."""
+    files = {}
     manifest = []
     for name, family, g in build_instances():
         gen = genus(g)
-        path = CORPUS / f"{name}.emb"
         comment = f"{name}: n={g.n} m={g.m} genus={gen} ({family})"
-        path.write_text(format_embedding(g, comment=comment), encoding="utf-8")
+        files[f"{name}.emb"] = format_embedding(g, comment=comment)
         manifest.append(
             {"name": name, "file": f"{name}.emb", "n": g.n, "m": g.m, "genus": gen, "family": family}
         )
-        print(f"wrote {path.name}: n={g.n} m={g.m} genus={gen}")
-    (CORPUS / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    print(f"{len(manifest)} instances")
+    files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    return files
+
+
+def main():
+    CORPUS.mkdir(exist_ok=True)
+    for name, text in corpus_files().items():
+        (CORPUS / name).write_text(text, encoding="utf-8")
+        print(f"wrote {name}")
 
 
 if __name__ == "__main__":

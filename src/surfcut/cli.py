@@ -38,7 +38,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         help="balance function: quotient, density, expansion, or custom:<path>",
     )
     p.add_argument("--root", type=int, default=0, help="root vertex for the weight tree")
-    p.add_argument("--oracle", action="store_true", help="cross-check against brute force")
+    p.add_argument(
+        "--oracle", action="store_true", help="cross-check against brute force (at most 16 vertices)"
+    )
     p.add_argument("--json", action="store_true", dest="as_json", help="print a JSON report")
     p.add_argument(
         "--dump-walks", metavar="PATH", dest="dump_walks_path", help="write the tagged walk table to PATH"
@@ -52,11 +54,12 @@ def run(cfg: argparse.Namespace) -> int:
         g = parse_embedding(text)
         f = make_balance(cfg.f)
         ctx = SolveContext(g, cfg.root)
+        # the oracle goes first, so a graph past its cap fails before the solve
+        report = brute_force_cut(g, f) if cfg.oracle else None
         # the dump needs the full table; building it first lets the solve
         # restrict it instead of running the cover a second time
         table = ctx.cover if cfg.dump_walks_path else None
         r = ctx.solve(f)
-        report = brute_force_cut(g, f) if cfg.oracle else None
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

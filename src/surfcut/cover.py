@@ -53,11 +53,9 @@ from surfcut.homology import LoopSystem, WeightFunction
 
 @dataclass(frozen=True, slots=True)
 class TaggedWalk:
-    """A closed dual walk with its weight k and crossing vector v."""
+    """A closed dual walk and its chain; its tag (k, v) is its table key."""
 
     darts: tuple[int, ...]
-    k: int
-    v: tuple[int, ...]
     chain: IntegerChain
 
     @property
@@ -69,12 +67,14 @@ class TaggedWalk:
 class CoverResult:
     """All per-tag shortest closed walks of at most depth_cap darts.
 
-    The other fields account for the search that built the table, which for
-    a restricted table went deeper: states_per_start has one entry per start
-    dart, the states its run visited after the prune (those it reached,
-    expanded or not), and state_space_bound is the size of the covering
-    state space V' x [-K..K] x prod [-Vj..Vj] that bounds every run.
-    walks is in tag order, which `restrict` keeps.
+    walks maps each tag (k, v), the weight and crossing vector of a walk, to
+    that walk, in tag order, which `restrict` keeps; the tag is stored only
+    as the key.  The other fields account for the search that built the
+    table, which for a restricted table went deeper: states_per_start has
+    one entry per start dart, the states its run visited after the prune
+    (those it reached, expanded or not), and state_space_bound is the size
+    of the covering state space V' x [-K..K] x prod [-Vj..Vj] that bounds
+    every run.
 
     by_mass is the index the combine step reads, built on first read and
     kept with the table object: a table read by several solves at one depth
@@ -230,8 +230,7 @@ def shortest_tagged_walks(
         for p, b in high_first:
             digit, q = divmod(q, p)
             coords.append(digit - b)
-        k, v = coords[0], tuple(coords[1:])
-        walks[k, v] = TaggedWalk(darts=darts, k=k, v=v, chain=IntegerChain.of_walk(m, darts))
+        walks[coords[0], tuple(coords[1:])] = TaggedWalk(darts, IntegerChain.of_walk(m, darts))
     return CoverResult(
         walks=walks,
         depth_cap=depth,

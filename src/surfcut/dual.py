@@ -35,10 +35,6 @@ class IntegerChain:
         object.__setattr__(self, "size", sum(map(abs, self.coeffs)))
 
     @classmethod
-    def zero(cls, m: int) -> "IntegerChain":
-        return cls(coeffs=(0,) * m)
-
-    @classmethod
     def of_walk(cls, m: int, darts: tuple[int, ...]) -> "IntegerChain":
         c = [0] * m
         for d in darts:

@@ -7,8 +7,9 @@ only on its size and |S|, and at a fixed |S| it rises with the size, so the
 best cut is found with one balance function call per side size, from each
 size's fewest cut; only the best cut and a connected witness are kept.
 Walk enumeration lists all short closed walks of a dual up to rotation and
-reversal, giving an independent check of the tagged walk table.  Both blow
-up exponentially and carry hard caps.
+reversal, each as its darts and its tag (k, v), giving an independent check
+of the tagged walk table; it builds no chains and reads nothing of the
+cover.  Both blow up exponentially and carry hard caps.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from fractions import Fraction
 from itertools import compress
 
 from surfcut.balance import BalanceFunction
-from surfcut.cover import TaggedWalk
-from surfcut.dual import IntegerChain
 from surfcut.embedding import EmbeddedGraph
 from surfcut.homology import LoopSystem, WeightFunction
 from surfcut.solver import CutResult, score_cut
@@ -133,11 +132,13 @@ def enumerate_closed_walks(
     w: WeightFunction,
     system: LoopSystem,
     max_len: int,
-) -> list[TaggedWalk]:
+) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """All closed walks of the dual up to max_len, one per symmetry class.
 
-    Classes identify rotations of the same walk and the reverse walk (whose
-    tags are negated).  The trivial empty walk is included once.
+    Each class comes as (darts, k, v): its smallest walk, that walk's weight
+    and its crossing vector.  Classes identify rotations of the same walk and
+    the reverse walk (whose tags are negated).  The trivial empty walk comes
+    first, and the rest are sorted by length, then darts.
     """
     if max_len > 8:
         raise ValueError("walk enumeration capped at length 8")
@@ -167,24 +168,19 @@ def enumerate_closed_walks(
 
     weights = [w.values.dart_coeff(d) for d in range(dual.num_darts)]
     thetas = [system.theta_dart(d) for d in range(dual.num_darts)]
-    walks = [TaggedWalk(darts=(), k=0, v=(0,) * (2 * system.genus), chain=IntegerChain.zero(dual.m))]
+    walks = [((), 0, (0,) * (2 * system.genus))]
     for seq in sorted(classes, key=lambda s: (len(s), s)):
-        walks.append(
-            TaggedWalk(
-                darts=seq,
-                k=sum(weights[d] for d in seq),
-                v=tuple(map(sum, zip(*(thetas[d] for d in seq)))),
-                chain=IntegerChain.of_walk(dual.m, seq),
-            )
-        )
+        v = tuple(map(sum, zip(*(thetas[d] for d in seq))))
+        walks.append((seq, sum(weights[d] for d in seq), v))
     return walks
 
 
-def min_tag_table(walks: list[TaggedWalk]) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Shortest length per (k, v) tag, counting each walk and its reverse."""
+def min_tag_table(walks: list[tuple]) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Shortest length per (k, v) tag over (darts, k, v) walks, counting each
+    walk and its reverse."""
     table: dict[tuple[int, tuple[int, ...]], int] = {}
-    for walk in walks:
-        for key in ((walk.k, walk.v), (-walk.k, tuple(-x for x in walk.v))):
-            if key not in table or walk.length < table[key]:
-                table[key] = walk.length
+    for darts, k, v in walks:
+        for key in ((k, v), (-k, tuple(-x for x in v))):
+            if key not in table or len(darts) < table[key]:
+                table[key] = len(darts)
     return table

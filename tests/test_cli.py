@@ -7,7 +7,8 @@ import pytest
 from surfcut import cli, solver
 from surfcut.balance import quotient
 from surfcut.cover import dump_walks
-from surfcut.embedding import parse_embedding
+from surfcut.construct import random_planar
+from surfcut.embedding import format_embedding, parse_embedding
 from surfcut.oracle import OracleReport
 from surfcut.solver import CutResult, SolveContext, SolverError
 
@@ -178,6 +179,17 @@ def test_oracle_disagreement_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "brute_force_cut", skewed)
     assert run_cli(str(CORPUS_DIR / "c4.emb"), "--oracle") == 3
     assert "agreement: DISAGREE" in capsys.readouterr().out
+
+
+def test_oracle_past_its_cap_exits_1_before_solving(tmp_path, monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(SolveContext, "solve", lambda self, f: solves.append(f))
+    p = tmp_path / "planar17.emb"
+    p.write_text(format_embedding(random_planar(17, 2, seed=1)), encoding="utf-8")
+    assert run_cli(str(p), "--oracle") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and solves == []
+    assert err == "error: brute force capped at 16 vertices, graph has 17\n"
 
 
 def test_solver_error_exits_4(monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -15,6 +18,8 @@ from surfcut.construct import (
     wheel_edges,
 )
 from surfcut.embedding import EmbeddingError, genus
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_edge_builders_have_expected_sizes():
@@ -80,3 +85,16 @@ def test_random_planar_stays_planar(n, deletions, seed):
 def test_random_planar_needs_a_triangle():
     with pytest.raises(ValueError):
         random_planar(2)
+
+
+def test_corpus_regenerates_byte_for_byte():
+    # the builders behind the pinned corpus must still make it exactly
+    path = ROOT / "scripts" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", path)
+    make_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_corpus)
+    files = make_corpus.corpus_files()
+    corpus = ROOT / "corpus"
+    assert sorted(files) == sorted(p.name for p in corpus.iterdir())
+    for name, text in files.items():
+        assert (corpus / name).read_bytes() == text.encode("utf-8"), name

@@ -50,13 +50,28 @@ def test_dump_format_frozen():
     assert dump_walks(cover) == "-1 1 1\n0 0\n1 1 0\n"
 
 
-def test_walks_are_closed_and_tagged_consistently():
-    g = find_embedding(5, complete_edges(5), 1)
+# (graph, depth, None for m): K5 on the torus and on the double torus, and
+# a genus-3 draw at depth 5, since its full table has 740 k tags; each gives
+# every coordinate of v a nonzero value on some tag
+TAG_GRAPHS = {
+    "k5_torus": lambda: (find_embedding(5, complete_edges(5), 1), None),
+    "k5_g2": lambda: (find_embedding(5, complete_edges(5), 2), None),
+    "genus3": lambda: (seeded_multigraphs(3, 1, seed=3)[0], 5),
+}
+
+
+@pytest.mark.parametrize("name", list(TAG_GRAPHS))
+def test_walks_are_closed_and_tagged_consistently(name):
+    # a walk's tag is stored only as its key, so the key is checked against
+    # the darts
+    g, depth = TAG_GRAPHS[name]()
+    depth = depth or g.m
     dual, w, system = pipeline(g)
-    cover = shortest_tagged_walks(dual, w, system, g.m)
+    cover = shortest_tagged_walks(dual, w, system, depth)
+    assert all(any(v[j] for _, v in cover.walks) for j in range(2 * system.genus))
+    thetas = [system.theta_dart(d) for d in range(dual.num_darts)]
     for (k, v), walk in cover.walks.items():
-        assert walk.k == k and walk.v == v
-        assert walk.length <= g.m
+        assert walk.length <= depth
         if walk.darts:
             assert dual.tails[walk.darts[0]] == dual.heads[walk.darts[-1]]
             for a, b in zip(walk.darts, walk.darts[1:]):
@@ -64,13 +79,14 @@ def test_walks_are_closed_and_tagged_consistently():
         assert sum(w.values.dart_coeff(d) for d in walk.darts) == k
         acc = [0] * (2 * system.genus)
         for d in walk.darts:
-            for j, x in enumerate(system.theta_dart(d)):
+            for j, x in enumerate(thetas[d]):
                 acc[j] += x
         assert tuple(acc) == v
         # stored chain matches the dart sequence
-        for e in range(g.m):
-            signed = sum(1 if d % 2 == 0 else -1 for d in walk.darts if d >> 1 == e)
-            assert walk.chain.coeffs[e] == signed
+        signed = [0] * g.m
+        for d in walk.darts:
+            signed[d >> 1] += 1 if d % 2 == 0 else -1
+        assert walk.chain.coeffs == tuple(signed)
 
 
 def test_search_is_reproducible():
@@ -149,10 +165,10 @@ def test_ties_go_to_the_smallest_dart_sequence(corpus_contexts):
         if ctx.faces.face_count > 4:
             continue
         smallest = {}
-        for walk in enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=5):
-            rev = tuple(d ^ 1 for d in reversed(walk.darts))
-            neg = (-walk.k, tuple(-x for x in walk.v))
-            for seq, tag in ((walk.darts, (walk.k, walk.v)), (rev, neg)):
+        for darts, k, v in enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=5):
+            rev = tuple(d ^ 1 for d in reversed(darts))
+            neg = (-k, tuple(-x for x in v))
+            for seq, tag in ((darts, (k, v)), (rev, neg)):
                 for i in range(max(len(seq), 1)):
                     form = (len(seq), seq[i:] + seq[:i])
                     if tag not in smallest or form < smallest[tag]:

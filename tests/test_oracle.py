@@ -208,20 +208,22 @@ def test_triangle_dual_walk_classes(corpus_contexts):
     # repeat one edge and three that pair distinct edges.
     ctx = corpus_contexts["c3"]
     walks = enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=2)
-    assert [w.length for w in walks].count(2) == 6
-    assert [w.length for w in walks].count(0) == 1
+    assert [len(darts) for darts, _, _ in walks].count(2) == 6
+    assert [len(darts) for darts, _, _ in walks].count(0) == 1
     assert len(walks) == 7
 
 
 def test_walk_tags_close_up(corpus_contexts):
     ctx = corpus_contexts["theta_torus"]
     walks = enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=4)
-    for w in walks:
-        if not w.darts:
+    assert any(any(v) for _, _, v in walks)
+    for darts, k, v in walks:
+        if not darts:
             continue
         dg = ctx.dual
-        assert dg.tails[w.darts[0]] == dg.heads[w.darts[-1]]
-        assert w.k == sum(ctx.weight.values.dart_coeff(d) for d in w.darts)
+        assert dg.tails[darts[0]] == dg.heads[darts[-1]]
+        assert k == sum(ctx.weight.values.dart_coeff(d) for d in darts)
+        assert v == tuple(map(sum, zip(*(ctx.loops.theta_dart(d) for d in darts))))
 
 
 def test_min_tags_match_cover_table(corpus_contexts):
@@ -253,5 +255,5 @@ def test_walk_classes_match_plain_enumeration(corpus_contexts, name):
                 rev = tuple(d ^ 1 for d in reversed(seq))
                 expected.add(min(s[i:] + s[:i] for s in (seq, rev) for i in range(length)))
     walks = enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=4)
-    assert walks[0].darts == ()
-    assert [w.darts for w in walks[1:]] == sorted(expected, key=lambda s: (len(s), s))
+    assert walks[0][0] == ()
+    assert [darts for darts, _, _ in walks[1:]] == sorted(expected, key=lambda s: (len(s), s))

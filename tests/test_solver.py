@@ -123,22 +123,25 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
     # every multiset of at most genus+1 walks, with no pruning at all
     ctx = corpus_contexts[name]
     n, m, f = ctx.g.n, ctx.g.m, quotient()
-    walks = [w for w in ctx.cover.walks.values() if not w.chain.is_zero and w.chain.size <= m]
+    walks = [
+        (key, w) for key, w in ctx.cover.walks.items() if not w.chain.is_zero and w.chain.size <= m
+    ]
     best, masses = None, []
     for r in range(1, ctx.genus + 2):
-        pool = [w for w in walks if w.chain.size <= m - r + 1]
-        mass = [w.chain.size for w in pool]
+        pool = [(key, w) for key, w in walks if w.chain.size <= m - r + 1]
+        mass = [w.chain.size for _, w in pool]
         for idx in itertools.combinations_with_replacement(range(len(pool)), r):
             total = sum(mass[i] for i in idx)
             if total > m:
                 continue
-            if any(sum(c) for c in zip(*(pool[i].v for i in idx))):
+            picked = [pool[i] for i in idx]
+            if any(sum(c) for c in zip(*(v for (_, v), _ in picked))):
                 continue
-            k = sum(pool[i].k for i in idx)
+            k = sum(wk for (wk, _), _ in picked)
             if not 1 <= abs(k) <= n - 1:
                 continue
             masses.append(total)
-            chain = IntegerChain(tuple(map(sum, zip(*(pool[i].chain.coeffs for i in idx)))))
+            chain = IntegerChain(tuple(map(sum, zip(*(w.chain.coeffs for _, w in picked)))))
             key = (Fraction(chain.size) / f(Fraction(abs(k), n)), chain.size, chain.coeffs, k)
             best = key if best is None else min(best, key)
     comb = combine_and_minimize(ctx.cover, ctx.loops, f, n, m)
@@ -172,7 +175,7 @@ def test_recover_cut_rejects_non_potential():
 def test_recover_cut_rejects_zero_chain(corpus_graphs):
     g = corpus_graphs["c4"]
     with pytest.raises(ValueError, match="zero chain"):
-        recover_cut(g, IntegerChain.zero(g.m), quotient())
+        recover_cut(g, IntegerChain((0,) * g.m), quotient())
 
 
 def test_chain_value_equals_cut_value(corpus_contexts):

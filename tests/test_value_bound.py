@@ -52,8 +52,8 @@ def unbounded_best(cover, genus: int, f, n: int, m: int):
     at most genus+1 table walks with total mass <= m whose crossings cancel
     and whose weight k has 1 <= |k| <= n-1; no value bound is used."""
     walks = sorted(
-        (w.chain.size, w.k, w.v, w.chain)
-        for w in cover.walks.values()
+        (w.chain.size, k, v, w.chain)
+        for (k, v), w in cover.walks.items()
         if not w.chain.is_zero and w.chain.size <= m
     )
     by_v: dict[tuple[int, ...], list[int]] = {}
