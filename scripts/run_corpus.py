@@ -5,10 +5,11 @@ Usage:
 
 With --oracle each value is cross-checked against brute force; a mismatch
 aborts the run.  Values are exact rationals printed as p/q.  D is the
-deepest walk table the solves of an instance read, OPT*F the depth an
-exact upper bound would give (the largest min(m, floor(OPT * F)) over the
-balance functions), and states the most states one start dart of its cover
-run visited.  A last line sums D and OPT*F over the instances.
+largest depth the solves of an instance read its walk table at, OPT*F the
+depth an exact upper bound would give (the largest min(m, floor(OPT * F))
+over the balance functions), and states the most states one start dart of
+the cover run behind that table visited.  A last line sums D and OPT*F over
+the instances.
 """
 
 import argparse
@@ -54,7 +55,7 @@ def main():
     for item in manifest:
         g = parse_embedding((ROOT / "corpus" / item["file"]).read_text())
         ctx = SolveContext(g)
-        values, tables, ideal = [], [], 0
+        values, depth, ideal = [], 0, 0
         for spec, f in funcs:
             det = ctx.solve_detailed(f)
             r = det.result
@@ -63,12 +64,12 @@ def main():
                 if r.value != want:
                     sys.exit(f"MISMATCH on {item['name']} ({spec}): {r.value} vs {want}")
             values.append(frac(r.value))
-            tables.append(det.cover)
+            depth = max(depth, det.depth)
             ideal = max(ideal, min(g.m, floor(r.value * balance_peak(f, g.n))))
-        deepest = max(tables, key=lambda c: c.depth_cap)
-        sum_depth += deepest.depth_cap
+        sum_depth += depth
         sum_ideal += ideal
-        row = [item["name"], g.n, g.m, ctx.genus, deepest.depth_cap, ideal, deepest.max_states, *values]
+        # the context keeps one table, built to the deepest solve's depth
+        row = [item["name"], g.n, g.m, ctx.genus, depth, ideal, det.cover.max_states, *values]
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     print(f"summed D: {sum_depth}, summed OPT*F: {sum_ideal}")
     note = " (oracle checked)" if args.oracle else ""

@@ -57,7 +57,7 @@ def run(cfg: argparse.Namespace) -> int:
         # the oracle goes first, so a graph past its cap fails before the solve
         report = brute_force_cut(g, f) if cfg.oracle else None
         # the dump needs the full table; building it first lets the solve
-        # restrict it instead of running the cover a second time
+        # read it at its own depth instead of running the cover a second time
         table = ctx.cover if cfg.dump_walks_path else None
         r = ctx.solve(f)
     except (OSError, ValueError) as e:

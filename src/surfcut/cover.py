@@ -9,7 +9,8 @@ picks D = min(m, floor(U * F)) from the value U of some cut and the peak
 F of the balance function: an optimal cut has at most OPT * F <= U * F
 edges, so no walk the minimizer may need is longer.  The BFS goes level by
 level with lexicographic ties inside a level, so the depth-D table is the
-depth-m table restricted to walks of at most D darts (`restrict`).
+walks of at most D darts of any deeper table, and a solve may read a deeper
+table at its own depth.
 
 A dart's weight is a subtree size, at most n - 1, and each loop crosses an
 edge at most once, so walks of at most D darts keep k and v inside a box
@@ -43,7 +44,7 @@ walk its tag already has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from surfcut.dual import IntegerChain
@@ -68,18 +69,17 @@ class CoverResult:
     """All per-tag shortest closed walks of at most depth_cap darts.
 
     walks maps each tag (k, v), the weight and crossing vector of a walk, to
-    that walk, in tag order, which `restrict` keeps; the tag is stored only
-    as the key.  The other fields account for the search that built the
-    table, which for a restricted table went deeper: states_per_start has
-    one entry per start dart, the states its run visited after the prune
-    (those it reached, expanded or not), and state_space_bound is the size
-    of the covering state space V' x [-K..K] x prod [-Vj..Vj] that bounds
-    every run.
+    that walk, in tag order; the tag is stored only as the key.  The other
+    fields account for the search that built the table: states_per_start
+    has one entry per start dart, the states its run visited after the
+    prune (those it reached, expanded or not), and state_space_bound is the
+    size of the covering state space V' x [-K..K] x prod [-Vj..Vj] that
+    bounds every run.
 
     by_mass is the index the combine step reads, built on first read and
-    kept with the table object: a table read by several solves at one depth
-    builds it once, while a restricted or `dataclasses.replace`d table is a
-    new object and builds its own.
+    kept with the table object, so every solve that reads one table, at
+    whatever depth, shares it; a `dataclasses.replace`d table is a new
+    object and builds its own.
     """
 
     walks: dict[tuple[int, tuple[int, ...]], TaggedWalk]
@@ -93,13 +93,15 @@ class CoverResult:
 
     @cached_property
     def by_mass(self) -> tuple[list, dict[tuple[int, ...], list[int]]]:
-        """The nonzero walks as (mass, tag, chain), sorted by mass then tag,
-        and for each crossing vector the ascending indices of its entries."""
+        """The nonzero walks as (mass, tag, chain, length), sorted by mass
+        then tag, and for each crossing vector the ascending indices of its
+        entries.  Tags are unique, so the entries of the walks within any
+        depth come in the same order as in a table built to that depth."""
         entries = sorted(
-            (walk.chain.size, key, walk.chain) for key, walk in self.walks.items() if walk.chain.size
+            (w.chain.size, key, w.chain, w.length) for key, w in self.walks.items() if w.chain.size
         )
         by_v: dict[tuple[int, ...], list[int]] = {}
-        for i, (_, (_, v), _) in enumerate(entries):
+        for i, (_, (_, v), _, _) in enumerate(entries):
             by_v.setdefault(v, []).append(i)
         return entries, by_v
 
@@ -237,14 +239,6 @@ def shortest_tagged_walks(
         state_space_bound=faces * place[-1] * (2 * bounds[-1] + 1),
         states_per_start=tuple(states_per_start),
     )
-
-
-def restrict(cover: CoverResult, depth: int) -> CoverResult:
-    """The table of a BFS to `depth`, read off a table at least that deep."""
-    if depth >= cover.depth_cap:
-        return cover
-    walks = {key: walk for key, walk in cover.walks.items() if walk.length <= depth}
-    return replace(cover, walks=walks, depth_cap=depth)
 
 
 def dump_walks(cover: CoverResult) -> str:

@@ -89,18 +89,29 @@ class EmbeddedGraph:
                 e = self.rotation[e]
             if length != len(self.out_darts[self.tails[d]]):
                 raise EmbeddingError(f"rotation at vertex {self.tails[d]} splits into several cycles")
-        reached = [False] * self.n
-        reached[self.tails[0]] = True
-        stack = [self.tails[0]]
-        while stack:
-            v = stack.pop()
-            for d in self.out_darts[v]:
-                u = self.heads[d]
-                if not reached[u]:
-                    reached[u] = True
-                    stack.append(u)
-        if not all(reached):
+        if len(bfs_tree(self, self.tails[0])[1]) != self.n:
             raise EmbeddingError("graph is not connected")
+
+
+def bfs_tree(g: EmbeddedGraph, root: int, skip: frozenset[int] = frozenset()):
+    """Deterministic BFS tree: FIFO queue, darts scanned in ascending id.
+
+    Edges in `skip` are never crossed.  Returns (parent_dart, order) where
+    parent_dart[v] is the dart parent->v (-1 at the root and at vertices
+    not reached) and order lists the reached vertices by discovery.
+    """
+    parent_dart = [-1] * g.n
+    seen = [False] * g.n
+    seen[root] = True
+    order = [root]
+    for v in order:
+        for d in g.out_darts[v]:
+            u = g.heads[d]
+            if not seen[u] and d >> 1 not in skip:
+                seen[u] = True
+                parent_dart[u] = d
+                order.append(u)
+    return tuple(parent_dart), tuple(order)
 
 
 @dataclass(frozen=True)

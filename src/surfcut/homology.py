@@ -17,30 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from surfcut.dual import IntegerChain
-from surfcut.embedding import EmbeddedGraph, EmbeddingError
-
-
-def _bfs_tree(g: EmbeddedGraph, root: int):
-    """Deterministic BFS tree: FIFO queue, darts scanned in ascending id.
-
-    Returns (parent_dart, order) where parent_dart[v] is the dart parent->v
-    (-1 at the root) and order lists vertices by discovery.  Every
-    EmbeddedGraph is connected, so order holds all of them.
-    """
-    if not (0 <= root < g.n):
-        raise ValueError(f"root {root} out of range for {g.n} vertices")
-    parent_dart = [-1] * g.n
-    seen = [False] * g.n
-    seen[root] = True
-    order = [root]
-    for v in order:
-        for d in g.out_darts[v]:
-            u = g.heads[d]
-            if not seen[u]:
-                seen[u] = True
-                parent_dart[u] = d
-                order.append(u)
-    return tuple(parent_dart), tuple(order)
+from surfcut.embedding import EmbeddedGraph, EmbeddingError, bfs_tree
 
 
 @dataclass(frozen=True)
@@ -63,7 +40,7 @@ class WeightFunction:
 
 
 def build_weight(g: EmbeddedGraph, root: int = 0) -> WeightFunction:
-    parent_dart, order = _bfs_tree(g, root)
+    parent_dart, order = bfs_tree(g, root)
     subtree = [1] * g.n
     values = [0] * g.m
     for v in reversed(order[1:]):
@@ -128,20 +105,8 @@ def build_loop_system(g: EmbeddedGraph, dual: EmbeddedGraph, w: WeightFunction) 
     """
     parent_dart, tree_edges = w.parent_dart, w.tree_edges
 
-    dual_parent = [-1] * dual.n
-    seen = [False] * dual.n
-    seen[0] = True
-    queue = [0]
-    for f in queue:
-        for d in dual.out_darts[f]:
-            if (d >> 1) in tree_edges:
-                continue
-            u = dual.heads[d]
-            if not seen[u]:
-                seen[u] = True
-                dual_parent[u] = d
-                queue.append(u)
-    if not all(seen):
+    dual_parent, order = bfs_tree(dual, 0, skip=tree_edges)
+    if len(order) != dual.n:
         raise EmbeddingError("dual cotree failed to span; embedding data is inconsistent")
     cotree_edges = frozenset(dual_parent[f] >> 1 for f in range(dual.n) if dual_parent[f] != -1)
 

@@ -31,7 +31,7 @@ from math import floor
 from operator import add
 
 from surfcut.balance import BalanceFunction
-from surfcut.cover import CoverResult, restrict, shortest_tagged_walks
+from surfcut.cover import CoverResult, shortest_tagged_walks
 from surfcut.dual import IntegerChain, build_dual, cut_chain
 from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
 from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight
@@ -147,7 +147,7 @@ class CombineResult:
 
 
 def combine_and_minimize(
-    cover: CoverResult, system: LoopSystem, f: BalanceFunction, n: int, m: int
+    cover: CoverResult, system: LoopSystem, f: BalanceFunction, n: int, m: int, depth: int
 ) -> CombineResult | None:
     """Scan sums of at most genus+1 tagged walks with cancelling crossings.
 
@@ -161,11 +161,14 @@ def combine_and_minimize(
     index sequence into it.  A slot that has `left` slots still to fill
     stops at the first walk with mass + its mass * left > limit: every
     later walk weighs at least as much, so this prune is exact.  It is
-    strict, so chains tied at the best value are still scanned.  The last
-    slot must cancel the crossings so far, so it reads only the walks with
-    that crossing vector.  Ties break on value, then chain size, then chain
-    coefficients.  None when no sum in the table has cancelling crossings
-    and a proper balance.
+    strict, so chains tied at the best value are still scanned.  Past that
+    test a walk longer than `depth` darts is skipped, so a deeper table
+    scans the walks of the depth-`depth` table in the same order and gives
+    the same result, candidate count included.  The last slot must cancel
+    the crossings so far, so it reads only the walks with that crossing
+    vector.  Ties break on value, then chain size, then chain coefficients.
+    None when no sum of walks within `depth` has cancelling crossings and a
+    proper balance.
     """
     entries, by_v = cover.by_mass
 
@@ -199,17 +202,18 @@ def combine_and_minimize(
         if left == 1:
             same = by_v.get(tuple(-x for x in v), ())
             for i in same[bisect_left(same, start):]:
-                emass, (ek, _), _ = entries[i]
+                emass, (ek, _), _, length = entries[i]
                 if mass + emass > limit:
                     break
-                if 1 <= abs(k + ek) <= n - 1:
+                if length <= depth and 1 <= abs(k + ek) <= n - 1:
                     consider(picked + (i,), k + ek)
             return
         for i in range(start, len(entries)):
-            emass, (ek, ev), _ = entries[i]
+            emass, (ek, ev), _, length = entries[i]
             if mass + emass * left > limit:
                 break
-            extend(picked + (i,), left - 1, k + ek, tuple(map(add, v, ev)), mass + emass)
+            if length <= depth:
+                extend(picked + (i,), left - 1, k + ek, tuple(map(add, v, ev)), mass + emass)
 
     for r in range(1, system.genus + 2):
         extend((), r, 0, (0,) * (2 * system.genus), 0)
@@ -267,12 +271,13 @@ class SolveDetails:
 
     result is the recovered cut and combine the minimizer's best chain,
     with its value, walks and candidate count.  cover is the walk table the
-    solve read, restricted to its depth D (cover.depth_cap).
+    solve read at its depth D, depth; the table may be deeper.
     """
 
     result: CutResult
     combine: CombineResult
     cover: CoverResult
+    depth: int
 
 
 class SolveContext:
@@ -282,17 +287,17 @@ class SolveContext:
     table depend only on the graph and the root, so solving for several
     balance functions reuses them.  The weight holds the one BFS tree that
     the loops and the subtree cuts behind U read.
-    The context keeps the deepest walk table it has built and answers any
-    depth up to it by restricting that table, once per depth: solves at one
-    depth read one table object and so share its combine index.  A deeper
-    table replaces the deepest and drops the restrictions of the old one.
+    The context keeps one walk table, the deepest it has built, and each
+    solve reads it at its own depth, so all solves share its combine index.
+    A solve deeper than the table builds a deeper one in its place.
     """
 
     def __init__(self, g: EmbeddedGraph, root: int = 0):
+        if not (0 <= root < g.n):
+            raise ValueError(f"root {root} out of range for {g.n} vertices")
         self.g = g
         self.root = root
         self._table: CoverResult | None = None
-        self._restricted: dict[int, CoverResult] = {}
 
     @cached_property
     def faces(self) -> FaceStructure:
@@ -324,13 +329,10 @@ class SolveContext:
         return min(Fraction(cut) / f(Fraction(k, n)) for k, cut in self.fewest_cut_edges.items())
 
     def walk_table(self, depth: int) -> CoverResult:
-        """The walk table of walks with at most `depth` darts."""
+        """The context's walk table, first built to `depth` if it is shallower."""
         if self._table is None or self._table.depth_cap < depth:
             self._table = shortest_tagged_walks(self.dual, self.weight, self.loops, depth)
-            self._restricted = {}
-        if depth not in self._restricted:
-            self._restricted[depth] = restrict(self._table, depth)
-        return self._restricted[depth]
+        return self._table
 
     @property
     def cover(self) -> CoverResult:
@@ -342,7 +344,7 @@ class SolveContext:
         try:
             depth = min(m, floor(self.upper_bound(f) * balance_peak(f, n)))
             cover = self.walk_table(depth)
-            comb = combine_and_minimize(cover, self.loops, f, n, m)
+            comb = combine_and_minimize(cover, self.loops, f, n, m, depth)
             if comb is None:
                 raise SolverError("no null-homologous combination found; walk table is incomplete")
             if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):
@@ -354,7 +356,7 @@ class SolveContext:
                 raise SolverError("chain minimum missed a cheaper cut; walk table is incomplete")
         except SolverError as e:
             raise SolverError(f"{e} (n={n}, m={m}, genus {self.genus})") from None
-        return SolveDetails(result=cut, combine=comb, cover=cover)
+        return SolveDetails(result=cut, combine=comb, cover=cover, depth=depth)
 
     def solve(self, f: BalanceFunction) -> CutResult:
         return self.solve_detailed(f).result

@@ -87,7 +87,7 @@ def test_dump_walks(tmp_path, capsys):
 
 
 def test_dump_walks_builds_the_cover_once(tmp_path, monkeypatch, capsys):
-    # the dump writes the full depth-m table and the solve restricts it
+    # the dump writes the full depth-m table and the solve reads it at its own depth
     depths = []
     build = solver.shortest_tagged_walks
 
@@ -103,7 +103,7 @@ def test_dump_walks_builds_the_cover_once(tmp_path, monkeypatch, capsys):
     assert depths == [g.m]
     ctx = SolveContext(g)
     assert out.read_text(encoding="utf-8") == dump_walks(ctx.cover)
-    assert ctx.solve_detailed(quotient()).cover.depth_cap < g.m
+    assert ctx.solve_detailed(quotient()).depth < g.m
 
 
 def test_nondefault_root(capsys):
@@ -190,6 +190,17 @@ def test_oracle_past_its_cap_exits_1_before_solving(tmp_path, monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == "" and solves == []
     assert err == "error: brute force capped at 16 vertices, graph has 17\n"
+
+
+def test_bad_root_exits_1_before_the_oracle(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "brute_force_cut", lambda *args: calls.append(args))
+    p = tmp_path / "planar16.emb"
+    p.write_text(format_embedding(random_planar(16, 2, seed=1)), encoding="utf-8")
+    assert run_cli(str(p), "--oracle", "--root", "99") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    assert err == "error: root 99 out of range for 16 vertices\n"
 
 
 def test_solver_error_exits_4(monkeypatch, capsys):

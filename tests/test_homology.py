@@ -13,8 +13,8 @@ from surfcut.construct import (
     random_planar,
 )
 from surfcut.dual import IntegerChain, build_dual, cut_chain
-from surfcut.embedding import trace_faces
-from surfcut.homology import build_loop_system, build_weight
+from surfcut.embedding import EmbeddingError, trace_faces
+from surfcut.homology import WeightFunction, build_loop_system, build_weight
 
 TORUS_K5 = find_embedding(5, complete_edges(5), 1)
 GENUS2 = find_embedding(2, banana_edges(5), 2)
@@ -137,3 +137,14 @@ def test_planar_loop_system_is_empty():
     assert system.genus == 0
     assert system.loops == ()
     assert system.theta(cut_chain(g, {0})) == ()
+
+
+def test_cotree_that_fails_to_span_is_rejected(corpus_graphs):
+    # triangle 0-1-2 bounds a face of the planar K4, so a "tree" holding its
+    # three edges cuts that face off in the dual
+    g = corpus_graphs["k4"]
+    triangle = [d for d in range(0, g.num_darts, 2) if {g.tails[d], g.heads[d]} <= {0, 1, 2}]
+    assert len(triangle) == 3
+    w = WeightFunction(values=IntegerChain((0,) * g.m), parent_dart=(-1, *triangle), order=(0, 1, 2, 3))
+    with pytest.raises(EmbeddingError, match="dual cotree failed to span"):
+        build_loop_system(g, build_dual(g, trace_faces(g)), w)

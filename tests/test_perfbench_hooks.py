@@ -40,7 +40,7 @@ def test_combine_positional_order():
     # the combine counter reads the cover and m from positions 0 and 4
     solver = importlib.import_module("surfcut.solver")
     params = list(inspect.signature(solver.combine_and_minimize).parameters)
-    assert params == ["cover", "system", "f", "n", "m"]
+    assert params == ["cover", "system", "f", "n", "m", "depth"]
 
 
 def test_counted_fields_exist(corpus_contexts):
@@ -56,7 +56,7 @@ def test_counted_fields_exist(corpus_contexts):
     for walk in cover.walks.values():
         assert hasattr(walk, "length")
         assert hasattr(walk.chain, "is_zero") and hasattr(walk.chain, "size")
-    comb = solver.combine_and_minimize(cover, ctx.loops, f, ctx.g.n, ctx.g.m)
+    comb = solver.combine_and_minimize(cover, ctx.loops, f, ctx.g.n, ctx.g.m, ctx.g.m)
     assert hasattr(comb, "candidates")
     report = oracle.brute_force_cut(ctx.g, f)
     # the report keeps no per-side values, so the oracle.cuts counter,

@@ -1,0 +1,76 @@
+"""Smoke tests of the corpus scripts, whose outputs compare two versions of surfcut."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# scripts/run_corpus.py without its timing line, trailing blanks stripped
+RUN_CORPUS_TABLE = """\
+name                n    m    g   D    OPT*F  states   quotient      density       expansion
+k2                  2    1    0   1    1      2        2/1           4/1           2/1
+digon               2    2    0   2    2      3        4/1           8/1           4/1
+theta               2    3    0   3    3      4        6/1           12/1          6/1
+banana4             2    4    0   4    4      5        8/1           16/1          8/1
+p3                  3    2    0   1    1      2        3/1           9/2           3/1
+p4                  4    3    0   1    1      2        2/1           4/1           2/1
+star5               5    4    0   2    2      3        5/1           25/4          5/1
+tree7               7    6    0   1    1      2        7/3           49/12         7/3
+c3                  3    3    0   2    2      4        6/1           9/1           6/1
+c4                  4    4    0   2    2      5        4/1           8/1           4/1
+c5                  5    5    0   2    2      6        5/1           25/3          5/1
+c6                  6    6    0   2    2      7        4/1           8/1           4/1
+c7                  7    7    0   2    2      8        14/3          49/6          14/3
+k4                  4    6    0   4    4      14       8/1           16/1          8/1
+diamond             4    5    0   3    3      11       6/1           32/3          6/1
+k4_doubled          4    7    0   4    4      12       8/1           16/1          8/1
+k23                 5    6    0   3    3      12       15/2          25/2          15/2
+w5                  5    8    0   4    4      16       10/1          50/3          10/1
+w6                  6    10   0   5    5      29       10/1          18/1          10/1
+prism3              6    9    0   3    3      11       6/1           12/1          6/1
+octahedron          6    12   0   6    6      45       12/1          24/1          12/1
+apollonian7         7    15   0   7    7      62       49/3          49/2          49/3
+apollonian9_del     9    17   0   5    5      34       45/4          18/1          45/4
+apollonian12_del    12   25   0   6    6      60       12/1          144/11        12/1
+k4_torus            4    6    1   4    4      135      8/1           16/1          8/1
+k5_torus            5    10   1   6    6      335      15/1          25/1          15/1
+k33_torus           6    9    1   5    5      328      10/1          18/1          10/1
+theta_torus         2    3    1   3    3      24       6/1           12/1          6/1
+banana24_torus      2    4    1   4    4      35       8/1           16/1          8/1
+grid23_torus        6    12   1   6    6      229      12/1          18/1          12/1
+grid33_torus        9    18   1   8    8      979      18/1          27/1          18/1
+banana25_g2         2    5    2   5    5      679      10/1          20/1          10/1
+series33_g2         3    6    2   3    3      84       9/1           27/2          9/1
+c4_doubled_g2       4    8    2   4    4      349      8/1           16/1          8/1
+k5_g2               5    10   2   6    6      3584     15/1          25/1          15/1
+summed D: 129, summed OPT*F: 129
+"""
+
+
+def test_run_corpus_table():
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_corpus.py")], capture_output=True, text=True, check=True
+    )
+    lines = [line.rstrip() for line in run.stdout.splitlines()]
+    assert "\n".join(lines[:-1]) + "\n" == RUN_CORPUS_TABLE
+    assert lines[-1].startswith("done: 35 instances in ") and run.stderr == ""
+
+
+def test_corpus_outputs_on_two_files(tmp_path, monkeypatch, manifest):
+    spec = importlib.util.spec_from_file_location("corpus_outputs", SCRIPTS / "corpus_outputs.py")
+    corpus_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus_outputs)
+    work, out = tmp_path / "work", tmp_path / "out"
+    work.mkdir()
+    out.mkdir()
+    monkeypatch.chdir(work)
+    items = [item for item in manifest if item["name"] in ("k4", "k4_torus")]
+    codes = corpus_outputs.write_outputs(items, out)
+    # per file and profile: a text run with its walk dump, and a JSON run
+    assert len([p for p in out.rglob("*") if p.is_file()]) == 24
+    assert len(codes) == 16 and all(line.endswith(" 0 ''") for line in codes)
+    for item in items:
+        for label in corpus_outputs.PROFILES:
+            assert (out / item["name"] / f"{label}.walks").read_text(encoding="utf-8"), (item["name"], label)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from surfcut import homology, solver
+from surfcut import embedding, homology, solver
 from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders, grid_torus
 from surfcut.cover import CoverResult
@@ -100,7 +100,7 @@ def test_evaluate_chain_matches_cut_score(name, corpus_graphs, corpus_contexts):
 
 def test_combine_on_single_edge(corpus_contexts):
     ctx = corpus_contexts["k2"]
-    comb = combine_and_minimize(ctx.cover, ctx.loops, quotient(), ctx.g.n, ctx.g.m)
+    comb = combine_and_minimize(ctx.cover, ctx.loops, quotient(), ctx.g.n, ctx.g.m, ctx.g.m)
     assert comb.sigma.coeffs == (-1,)
     assert ctx.weight.values.dot(comb.sigma) == -1
     assert comb.value == Fraction(2)
@@ -113,7 +113,7 @@ def test_combine_without_a_cancelling_sum_returns_none(corpus_contexts):
     # the index of ctx.cover is built first; a replaced table must not inherit it
     assert ctx.cover.by_mass[0]
     empty = dataclasses.replace(ctx.cover, walks={})
-    assert combine_and_minimize(empty, ctx.loops, quotient(), ctx.g.n, ctx.g.m) is None
+    assert combine_and_minimize(empty, ctx.loops, quotient(), ctx.g.n, ctx.g.m, ctx.g.m) is None
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
             chain = IntegerChain(tuple(map(sum, zip(*(w.chain.coeffs for _, w in picked)))))
             key = (Fraction(chain.size) / f(Fraction(abs(k), n)), chain.size, chain.coeffs, k)
             best = key if best is None else min(best, key)
-    comb = combine_and_minimize(ctx.cover, ctx.loops, f, n, m)
+    comb = combine_and_minimize(ctx.cover, ctx.loops, f, n, m, m)
     assert (comb.value, comb.sigma.coeffs, ctx.weight.values.dot(comb.sigma)) == (best[0], best[2], best[3])
     # the mass limit floor(best * F) starts at m and never drops below floor(OPT * F)
     floor_limit = math.floor(best[0] * balance_peak(f, n))
@@ -212,14 +212,12 @@ def test_context_caches_walk_table(corpus_graphs, monkeypatch):
     a = ctx.solve_detailed(quotient())
     b = ctx.solve_detailed(quotient())
     assert a.cover is b.cover
-    assert depths == [a.cover.depth_cap] and a.cover.depth_cap < ctx.g.m
+    assert depths == [a.depth] and a.depth < ctx.g.m
     assert ctx.cover is ctx.cover
     assert ctx.cover.depth_cap == ctx.g.m and len(depths) == 2
     c = ctx.solve_detailed(density())
     assert len(depths) == 2
-    assert c.cover.walks == {
-        key: walk for key, walk in ctx.cover.walks.items() if walk.length <= c.cover.depth_cap
-    }
+    assert c.cover is ctx.cover and c.depth < ctx.g.m
 
 
 def test_solves_at_one_depth_share_one_table_and_index(corpus_graphs):
@@ -233,9 +231,9 @@ def test_solves_at_one_depth_share_one_table_and_index(corpus_graphs):
 
 
 @pytest.mark.parametrize("name", ["star5", "apollonian9_del"])
-def test_one_index_per_depth_below_the_deepest(name, corpus_graphs, monkeypatch):
-    # the four profiles alternate between two depths here, the second below
-    # the deepest table, and each depth builds its combine index once
+def test_one_table_and_index_across_depths(name, corpus_graphs, monkeypatch):
+    # the four profiles alternate between two depths here, the first the
+    # deeper, and every solve reads the one table and its one combine index
     indexed = []
     build = CoverResult.by_mass.func
 
@@ -247,10 +245,11 @@ def test_one_index_per_depth_below_the_deepest(name, corpus_graphs, monkeypatch)
     by_mass.__set_name__(CoverResult, "by_mass")
     monkeypatch.setattr(CoverResult, "by_mass", by_mass)
     ctx = SolveContext(corpus_graphs[name])
-    depths = [ctx.solve_detailed(f).cover.depth_cap for f in (quotient(), density(), make_balance("expansion"), CUSTOM)]
-    assert len(set(depths)) == 2 and depths[:2] == depths[2:]
-    assert sorted(indexed) == sorted(set(depths))
-    assert ctx.walk_table(depths[1]) is ctx.walk_table(depths[1])
+    dets = [ctx.solve_detailed(f) for f in (quotient(), density(), make_balance("expansion"), CUSTOM)]
+    depths = [det.depth for det in dets]
+    assert len(set(depths)) == 2 and depths[:2] == depths[2:] and depths[0] > depths[1]
+    assert all(det.cover is dets[0].cover for det in dets)
+    assert indexed == [depths[0]]
 
 
 def test_solver_errors_name_the_instance(corpus_graphs, monkeypatch):
@@ -266,17 +265,20 @@ def test_solver_errors_name_the_instance(corpus_graphs, monkeypatch):
 
 
 def test_one_bfs_tree_per_context(corpus_graphs, monkeypatch):
-    # the weight grows the primal tree; the loops and U read it from there
+    # the weight grows the primal tree; the loops and U read it from there.
+    # The dual's connectivity check and cotree run bfs_tree on the dual.
     roots = []
-    build = homology._bfs_tree
+    build = embedding.bfs_tree
+    g = corpus_graphs["k5_g2"]
 
-    def counted(g, root):
-        roots.append(root)
-        return build(g, root)
+    def counted(graph, root, skip=frozenset()):
+        if graph is g:
+            roots.append(root)
+        return build(graph, root, skip)
 
-    monkeypatch.setattr(homology, "_bfs_tree", counted)
-    monkeypatch.setattr(solver, "_bfs_tree", counted, raising=False)
-    SolveContext(corpus_graphs["k5_g2"], 2).solve(quotient())
+    for module in (embedding, homology, solver):
+        monkeypatch.setattr(module, "bfs_tree", counted, raising=False)
+    SolveContext(g, 2).solve(quotient())
     assert roots == [2]
 
 

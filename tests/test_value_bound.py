@@ -3,8 +3,9 @@
 A solve reads the walk table only to depth D = min(m, floor(U * F)) and
 prunes combine at mass floor(best * F).  The same graphs go through an
 unbounded scan of the full depth-m table here, which must pick the same
-chain and so the same cut; and a BFS run to depth D must store exactly the
-walks of the full table that have at most D darts.
+chain and so the same cut; a BFS run to depth D must store exactly the
+walks of the full table that have at most D darts; and combine must give
+the same result at depth D on any table at least that deep.
 """
 
 import random
@@ -14,10 +15,10 @@ from operator import add
 import pytest
 from test_fuzz import seeded_multigraphs
 
-from surfcut.balance import density, parse_custom, quotient
+from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import find_embedding, grid_torus, random_planar
-from surfcut.cover import restrict, shortest_tagged_walks
-from surfcut.solver import SolveContext, recover_cut
+from surfcut.cover import shortest_tagged_walks
+from surfcut.solver import SolveContext, combine_and_minimize, recover_cut
 
 CUSTOM = parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")
 PROFILES = {"quotient": quotient(), "density": density(), "custom": CUSTOM}
@@ -103,7 +104,7 @@ def test_bounded_solve_matches_unbounded(name, contexts):
     assert full.depth_cap == g.m
     for label, f in PROFILES.items():
         det = ctx.solve_detailed(f)
-        depth = det.cover.depth_cap
+        depth = det.depth
         assert 1 <= depth <= g.m
         value, size, coeffs, chain = unbounded_best(full, ctx.genus, f, g.n, g.m)
         comb = det.combine
@@ -112,24 +113,49 @@ def test_bounded_solve_matches_unbounded(name, contexts):
         shallow = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
         assert shallow.depth_cap == depth
         assert shallow.walks == {k: w for k, w in full.walks.items() if w.length <= depth}, label
-        assert det.cover.walks == shallow.walks, label
+        within = {k: w for k, w in det.cover.walks.items() if w.length <= depth}
+        assert det.cover.depth_cap >= depth and within == shallow.walks, label
 
 
-def test_restricted_table_indexes_its_own_walks(corpus_contexts):
-    # the combine index is cached per table object: a restricted table,
-    # read after the deeper table's index, must index only its own walks.
-    # The corpus tables are cheap to depth m; the seeded ones (None) go one
-    # dart past the solve depth.
+def test_deep_table_combines_as_a_table_built_to_each_depth(corpus_contexts):
+    # a solve hands combine its context's one table, which may be deeper than
+    # the solve; at every depth d up to that table's, combine on it must give
+    # the whole result a table built to d gives.  Corpus, planar and grid
+    # tables are cheap to depth m; the seeded ones (None) go one dart past
+    # the solve depth.
     cases = [(ctx, ctx.g.m) for ctx in corpus_contexts.values()]
-    cases += [(SolveContext(g), None) for g in (*seeded_multigraphs(2, 6, seed=2), *seeded_multigraphs(3, 4, seed=3))]
-    checked = 0
+    planar = (random_planar(12, 2, seed=7), random_planar(14, 4, seed=8), random_planar(16, 0, seed=9))
+    cases += [(SolveContext(g), g.m) for g in (*planar, grid_torus(2, 3), grid_torus(2, 4))]
+    seeded = (*seeded_multigraphs(2, 6, seed=2), *seeded_multigraphs(3, 4, seed=3))
+    cases += [(SolveContext(g), None) for g in seeded]
+    checked = found = 0
     for ctx, deep_depth in cases:
-        solve_depth = ctx.solve_detailed(quotient()).cover.depth_cap
-        deep_depth = deep_depth or min(ctx.g.m, solve_depth + 1)
+        deep_depth = deep_depth or min(ctx.g.m, ctx.solve_detailed(quotient()).depth + 1)
         deep = ctx.walk_table(deep_depth)
-        assert deep.by_mass[0]
-        for depth in {solve_depth, solve_depth // 2} - {deep_depth}:
+        for depth in range(deep_depth + 1):
             fresh = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
-            assert restrict(deep, depth).by_mass == fresh.by_mass, (ctx.g.n, ctx.g.m, depth)
-            checked += 1
-    assert checked >= 60
+            for label, f in PROFILES.items():
+                args = (ctx.loops, f, ctx.g.n, ctx.g.m, depth)
+                want = combine_and_minimize(fresh, *args)
+                assert combine_and_minimize(deep, *args) == want, (ctx.g.n, ctx.g.m, depth, label)
+                checked += 1
+                found += want is not None
+    assert (len(cases), checked, found) == (50, 1464, 1161)
+
+
+def test_solve_order_does_not_change_results(corpus_graphs):
+    # one context solved for the four profiles in order, in reverse, and
+    # after its full table is built gives what a fresh context per profile gives
+    profiles = [*PROFILES.values(), make_balance("expansion")]
+
+    def outcome(ctx, f):
+        det = ctx.solve_detailed(f)
+        return det.result, det.combine
+
+    for name, g in corpus_graphs.items():
+        want = [outcome(SolveContext(g), f) for f in profiles]
+        ctx = SolveContext(g)
+        assert [outcome(ctx, f) for f in profiles] == want, name
+        assert [outcome(ctx, f) for f in reversed(profiles)] == want[::-1], name
+        assert ctx.cover.depth_cap == g.m
+        assert [outcome(ctx, f) for f in profiles] == want, name
