@@ -4,21 +4,23 @@ The minimizer scores dual chains by |chain| / f(|weight|/n), exactly the cut
 quotient when the chain is a cut.  Let F be the peak of f over k/n,
 k = 1 .. n-1.  An optimal cut has at most OPT * F edges, and its circuits
 can be swapped for the stored shortest walks with the same tags, which are
-no longer.  So a solve first takes the value U of the best known cut: the
+no longer.  So a solve first takes the value U of the best known cut.  The
 BFS balls grown from every vertex (the first k vertices of a BFS, which
-include the single vertices) and the subtree sides of the weight tree.
-Their fewest cut edges per side size depend only on the graph and are found
-once per context, so U costs one f call per side size up to n/2.  The solve
-reads the walk table only to depth D = min(m, floor(U * F)), and scans sums
-of at most genus+1 tagged walks whose crossing vectors cancel: one pass over
-the walks sorted by chain mass, cut off where the mass passes floor(best * F)
-for the best value found so far, with the last walk of each sum looked up by
-the crossing vector that cancels the rest.  That sorted list and its
-crossing-vector lookup do not depend on f, so each walk table builds them
-once, and the solves that read one table share them.  The best chain
-becomes a vertex cut by thresholding a potential function, which can only
-improve the score.  The two values must agree at the optimum, and the
-solver checks that.
+include the single vertices) and the subtree sides of the weight tree seed
+the best known side of each size, and single-vertex moves improve those
+sides until no size's cut falls.  These fewest cut edges per side size
+depend only on the graph and are found once per context, so U costs one f
+call per side size up to n/2, and U is a real cut's value, so U >= OPT.
+The solve reads the walk table only to depth D = min(m, floor(U * F)), and
+scans sums of at most genus+1 tagged walks whose crossing vectors cancel:
+one pass over the walks sorted by chain mass, cut off where the mass passes
+floor(best * F) for the best value found so far, with the last walk of each
+sum looked up by the crossing vector that cancels the rest.  That sorted
+list and its crossing-vector lookup do not depend on f, so each walk table
+builds them once, and the solves that read one table share them.  The best
+chain becomes a vertex cut by thresholding a potential function, which can
+only improve the score.  The two values must agree at the optimum, and the
+cut must score no worse than U; the solver checks both.
 """
 
 from __future__ import annotations
@@ -87,53 +89,103 @@ def balance_peak(f: BalanceFunction, n: int) -> Fraction:
     return f(Fraction(n // 2, n))
 
 
-def fewest_cut_edges(g: EmbeddedGraph, w: WeightFunction) -> dict[int, int]:
-    """min(|S|, n-|S|) -> the fewest cut edges among the known sides S.
+def fewest_cut_edges(g: EmbeddedGraph, w: WeightFunction) -> dict[int, tuple[int, int]]:
+    """min(|S|, n-|S|) -> (the fewest cut edges found, a side of that size with them).
 
-    The known sides are the n - 1 subtree sides of the tree of the weight w
-    and the BFS balls: from every vertex r, the first k vertices of the BFS
-    from r, k = 1 .. n-1 (k = 1 gives the single-vertex sides).  A ball
-    grows one vertex v at a time and its cut changes by deg(v) - 2 e(v, S).
-    None of this depends on f, and f is symmetric, so a side and its
-    complement share one entry.
+    A side is a bit mask of its vertices.  The seeds are the n - 1 subtree
+    sides of the tree of the weight w and the BFS balls: from every vertex
+    r, the first k vertices of the BFS from r, k = 1 .. n-1 (k = 1 gives
+    the single-vertex sides).  Then single-vertex moves improve each size's
+    side, as in Fiduccia and Mattheyses (1982): adding v to S changes its
+    cut by deg(v) - 2 e(v, S), where e(v, S) counts the edges between v and
+    S, parallel ones included, and removing v changes it by the negative of
+    that.  Every move of a size's side is tried on the entry of the size it
+    reaches (sizes stay within 1 .. n-1), and a side is moved again
+    whenever its entry improves, until none does.  Each improvement lowers
+    a non-negative integer, so this stops.  Every entry is the cut of its
+    side, so U, the best value among them, is at least OPT.  None of this
+    depends on f, and f is symmetric, so a side and its complement share
+    one entry.
     """
-    n = g.n
-    fewest: dict[int, int] = {}
+    n, half = g.n, g.n // 2
+    full = (1 << n) - 1
+    # cuts[k], sides[k]: the fewest cut edges found for size k and a side with
+    # them.  The empty and the full side cut nothing, so cuts[0] = 0 and no
+    # move reaches them.
+    cuts = [0] + [g.m + 1] * half
+    sides = [0] * (half + 1)
 
-    def keep(k: int, cut: int):
-        k = min(k, n - k)
-        if cut < fewest.get(k, cut + 1):
-            fewest[k] = cut
+    def keep(k: int, cut: int, S: int) -> int:
+        """Record side S, of k vertices, with `cut` edges; its entry's size."""
+        if 2 * k > n:
+            k, S = n - k, full ^ S
+        if cut < cuts[k]:
+            cuts[k], sides[k] = cut, S
+        return k
 
-    # sides as bit masks; below[v] grows into the subtree of v
+    # nbr[v][j]: the vertices joined to v by more than j edges (a loop never
+    # crosses a cut), so e(v, S) sums the popcounts of S & nbr[v][j]
+    nbr: list[list[int]] = [[] for _ in range(n)]
+    for v, u in zip(g.tails, g.heads):
+        if v == u:
+            continue
+        masks = nbr[v]
+        for j, mask in enumerate(masks):
+            if not mask >> u & 1:
+                masks[j] = mask | 1 << u
+                break
+        else:
+            masks.append(1 << u)
+    deg = [sum(mask.bit_count() for mask in masks) for masks in nbr]
+
+    # below[v] grows into the subtree of v
     ends = list(zip(g.tails[::2], g.heads[::2]))
     below = [1 << v for v in range(n)]
     for v in reversed(w.order[1:]):
         S = below[v]
-        keep(S.bit_count(), sum((S >> a ^ S >> b) & 1 for a, b in ends))
+        keep(S.bit_count(), sum((S >> a ^ S >> b) & 1 for a, b in ends), S)
         below[g.tails[w.parent_dart[v]]] |= S
 
-    # the BFS of build_weight (FIFO, darts ascending); when v is scanned, the
-    # ball is the vertices ranked before it, so e(v, S) counts the
-    # neighbours of lower rank
-    nbrs = [[g.heads[d] for d in ds] for ds in g.out_darts]
+    # the BFS of build_weight (FIFO, darts ascending); S is the ball of the
+    # vertices scanned before v.  ball[k]: the fewest cut edges of a k-ball,
+    # folded into the entries after the last root.
+    heads = [[g.heads[d] for d in ds] for ds in g.out_darts]
+    ball = [g.m + 1] * n
+    ball_side = [0] * n
     for r in range(n):
-        rank = [n] * n
-        rank[r] = 0
-        order = [r]
-        cut = 0
-        for k, v in enumerate(order):
-            inner = 0
-            for u in nbrs[v]:
-                if rank[u] == n:
-                    rank[u] = len(order)
+        seen, order = 1 << r, [r]
+        S = cut = 0
+        for k in range(1, n):
+            v = order[k - 1]
+            for u in heads[v]:
+                if not seen >> u & 1:
+                    seen |= 1 << u
                     order.append(u)
-                elif rank[u] < k:
-                    inner += 1
-            cut += len(nbrs[v]) - 2 * inner
-            if k + 1 < n:
-                keep(k + 1, cut)
-    return fewest
+            cut += deg[v]
+            for mask in nbr[v]:
+                cut -= 2 * (S & mask).bit_count()
+            S |= 1 << v
+            if cut < ball[k]:
+                ball[k], ball_side[k] = cut, S
+    for k in range(1, n):
+        keep(k, ball[k], ball_side[k])
+
+    todo = set(range(1, half + 1))
+    while todo:
+        k = min(todo)
+        todo.remove(k)
+        cut, S = cuts[k], sides[k]
+        for v in range(n):
+            e = 0
+            for mask in nbr[v]:
+                e += (S & mask).bit_count()
+            if S >> v & 1:
+                size, after = k - 1, cut - deg[v] + 2 * e
+            else:
+                size, after = k + 1, cut + deg[v] - 2 * e
+            if after < cuts[min(size, n - size)]:
+                todo.add(keep(size, after, S ^ 1 << v))
+    return {k: (cuts[k], sides[k]) for k in range(1, half + 1)}
 
 
 @dataclass(frozen=True)
@@ -320,13 +372,13 @@ class SolveContext:
         return build_loop_system(self.g, self.dual, self.weight)
 
     @cached_property
-    def fewest_cut_edges(self) -> dict[int, int]:
+    def fewest_cut_edges(self) -> dict[int, tuple[int, int]]:
         return fewest_cut_edges(self.g, self.weight)
 
     def upper_bound(self, f: BalanceFunction) -> Fraction:
         """U for f, from the cached fewest cut edges: one f call per side size."""
         n = self.g.n
-        return min(Fraction(cut) / f(Fraction(k, n)) for k, cut in self.fewest_cut_edges.items())
+        return min(Fraction(cut) / f(Fraction(k, n)) for k, (cut, _) in self.fewest_cut_edges.items())
 
     def walk_table(self, depth: int) -> CoverResult:
         """The context's walk table, first built to `depth` if it is shallower."""
@@ -342,7 +394,8 @@ class SolveContext:
     def solve_detailed(self, f: BalanceFunction) -> SolveDetails:
         n, m = self.g.n, self.g.m
         try:
-            depth = min(m, floor(self.upper_bound(f) * balance_peak(f, n)))
+            bound = self.upper_bound(f)
+            depth = min(m, floor(bound * balance_peak(f, n)))
             cover = self.walk_table(depth)
             comb = combine_and_minimize(cover, self.loops, f, n, m, depth)
             if comb is None:
@@ -350,6 +403,8 @@ class SolveContext:
             if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):
                 raise SolverError("minimizer returned a chain with nonzero crossings")
             cut = recover_cut(self.g, comb.sigma, f)
+            if cut.value > bound:
+                raise SolverError("recovered cut scores worse than the upper bound U; walk table too shallow")
             if cut.value > comb.value:
                 raise SolverError("recovered cut scores worse than its chain")
             if cut.value < comb.value:

@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_fuzz import seeded_multigraphs
 
 from surfcut import embedding, homology, solver
 from surfcut.balance import density, make_balance, parse_custom, quotient
-from surfcut.construct import from_cyclic_orders, grid_torus
+from surfcut.construct import from_cyclic_orders, grid_torus, random_planar
 from surfcut.cover import CoverResult
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import mirror_image
@@ -305,16 +306,9 @@ def _tree_side(g, tree_edges, e, start):
     return sorted(seen)
 
 
-# balls alone give a larger U on the 3x4 torus grid, subtree sides alone on
-# k4, k5_torus and k5_g2
-EXTRA_GRAPHS = {"grid_torus_3x4": grid_torus(3, 4)}
-
-
-@pytest.mark.parametrize("name", ["k4", "star5", "c7", "k5_torus", "k5_g2", "grid_torus_3x4"])
-def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
-    g = EXTRA_GRAPHS[name] if name in EXTRA_GRAPHS else corpus_graphs[name]
-    ctx = SolveContext(g)
-    w = ctx.weight
+def _seed_sides(g):
+    """The subtree sides of the weight tree and the BFS balls: the sides U is grown from."""
+    w = build_weight(g, 0)
     # the positive dart of a tree edge enters the subtree it weighs
     subtrees = [
         _tree_side(g, w.tree_edges, e, g.heads[2 * e] if w.values.coeffs[e] > 0 else g.tails[2 * e])
@@ -322,10 +316,110 @@ def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
     ]
     # the first k vertices of the BFS from r; k = 1 gives the single vertices
     balls = [build_weight(g, r).order[:k] for r in range(g.n) for k in range(1, g.n)]
+    return subtrees + balls
+
+
+def _seed_table(g):
+    """Each side size's fewest cut edges over the seed sides alone, without the moves."""
+    table = {}
+    for side in _seed_sides(g):
+        k = min(len(side), g.n - len(side))
+        cut = cut_chain(g, set(side)).size
+        if k not in table or cut < table[k][0]:
+            table[k] = (cut, sum(1 << v for v in side))
+    return table
+
+
+def _side(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+# balls alone give a larger U on the 3x4 torus grid, subtree sides alone on
+# k4, k5_torus and k5_g2; the moves lower the quotient U of random_planar(20, 2, 1)
+EXTRA_GRAPHS = {"grid_torus_3x4": grid_torus(3, 4), "random_planar_20_2_1": random_planar(20, 2, 1)}
+
+
+@pytest.mark.parametrize(
+    "name", ["k4", "star5", "c7", "k5_torus", "k5_g2", "grid_torus_3x4", "random_planar_20_2_1"]
+)
+def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
+    g = EXTRA_GRAPHS[name] if name in EXTRA_GRAPHS else corpus_graphs[name]
+    ctx = SolveContext(g)
+    seeds = _seed_sides(g)
+    witnesses = [_side(S) for _, S in ctx.fewest_cut_edges.values()]
     for f in (quotient(), density(), CUSTOM):
-        want = min(score_cut(g, S, f).value for S in subtrees + balls)
-        assert ctx.upper_bound(f) == want
-        assert brute_force_cut(g, f).best.value <= want
+        seed_best = min(score_cut(g, S, f).value for S in seeds)
+        U = ctx.upper_bound(f)
+        assert U <= seed_best
+        assert U == min(score_cut(g, S, f).value for S in witnesses)
+        assert brute_force_cut(g, f, cap=g.n).best.value <= U
+        if name == "random_planar_20_2_1" and f.kind == "quotient":
+            assert U < seed_best
+
+
+def test_fewest_cut_edges_witnesses(corpus_graphs):
+    # corpus (multigraphs banana25_g2 and c4_doubled_g2 among them), planar
+    # graphs n 16-40 with 0-8 edges deleted, and genus-2 multigraphs
+    graphs = [
+        *corpus_graphs.values(),
+        *(random_planar(n, n % 9, n) for n in range(16, 41)),
+        *seeded_multigraphs(2, 6, seed=2),
+    ]
+    for g in graphs:
+        table = solver.fewest_cut_edges(g, build_weight(g, 0))
+        assert sorted(table) == list(range(1, g.n // 2 + 1))
+        for k, (cut, S) in table.items():
+            side = set(_side(S))
+            assert len(side) == k and cut_chain(g, side).size == cut, (g.n, g.m, k)
+
+
+def test_recovered_cut_above_the_upper_bound_is_an_error(corpus_graphs, monkeypatch):
+    # one edge too few for the optimum's side size: U falls below OPT
+    g = corpus_graphs["k4"]
+    best = brute_force_cut(g, quotient()).best
+    k = len(best.S)
+    table = dict(solver.fewest_cut_edges(g, build_weight(g, 0)))
+    table[k] = (best.cut_size - 1, table[k][1])
+    monkeypatch.setattr(SolveContext, "fewest_cut_edges", property(lambda self: table))
+    with pytest.raises(SolverError) as err:
+        SolveContext(g).solve(quotient())
+    assert str(err.value) == (
+        "recovered cut scores worse than the upper bound U; walk table too shallow (n=4, m=6, genus 0)"
+    )
+
+
+DIFF_GRAPHS = [
+    *(random_planar(n, d, s) for n in (10, 14, 18, 22, 30, 40) for d in (0, 2, 4, 8) for s in (1, 2, 3)),
+    *(grid_torus(p, q) for p, q in ((3, 3), (3, 4), (4, 4), (5, 5), (5, 6), (6, 6))),
+]
+
+
+def test_local_search_keeps_every_answer_at_a_lower_depth():
+    # the seeds alone give the U of a solve without the moves
+    lower = 0
+    for g in DIFF_GRAPHS:
+        ctx, seeded = SolveContext(g), SolveContext(g)
+        seeded.fewest_cut_edges = _seed_table(g)
+        for f in (quotient(), density(), make_balance("expansion")):
+            got, want = ctx.solve_detailed(f), seeded.solve_detailed(f)
+            assert got.result == want.result, (g.n, g.m, f.kind)
+            assert got.depth <= want.depth
+            lower += got.depth < want.depth
+    assert lower > 0
+
+
+def test_summed_depth_on_small_planar_graphs():
+    # D and floor(OPT * F) summed over random_planar(n, d, 1), n 16-20, d 0-4,
+    # quotient: a change that loosens U raises the first sum (360 without the moves)
+    f = quotient()
+    depth = ideal = 0
+    for n in range(16, 21):
+        for d in range(5):
+            g = random_planar(n, d, 1)
+            det = SolveContext(g).solve_detailed(f)
+            depth += det.depth
+            ideal += min(g.m, math.floor(det.result.value * balance_peak(f, n)))
+    assert (depth, ideal) == (320, 299)
 
 
 def test_balance_peak_is_the_largest_value():
