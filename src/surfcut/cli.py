@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from surfcut.balance import make_balance
@@ -26,7 +27,8 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
+@cache
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="surfcut",
         description="Exact minimum quotient cuts of multigraphs embedded on orientable surfaces.",
@@ -45,7 +47,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p.add_argument(
         "--dump-walks", metavar="PATH", dest="dump_walks_path", help="write the tagged walk table to PATH"
     )
-    return p.parse_args(argv)
+    return p
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    return _parser().parse_args(argv)
 
 
 def run(cfg: argparse.Namespace) -> int:

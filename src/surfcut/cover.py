@@ -40,28 +40,50 @@ unchanged; only the states visited drop.  Closed states are checked on the
 frontier, where the loop holds their face and level, and a closed state's
 walk is rebuilt from the parent darts only when it is shorter than the
 walk its tag already has.
+
+The table keeps only each walk's darts.  Combine sorts the walks by chain
+size, which walk_mass counts from the darts, and sums few of their chains,
+so CoverResult.by_mass packs each crossing vector into an int and holds a
+chain slot per walk, filled the first time a sum uses that walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from surfcut.dual import IntegerChain
 from surfcut.embedding import EmbeddedGraph
 from surfcut.homology import LoopSystem, WeightFunction
 
 
+def walk_mass(darts: tuple[int, ...]) -> int:
+    """The size of a walk's chain: one per dart, less two for each pair of
+    opposite crossings of one edge, so len(darts) if there are none."""
+    once = set(darts)
+    if len(once) == len({d >> 1 for d in once}):
+        return len(darts)
+    return len(darts) - sum(min(darts.count(d), darts.count(d ^ 1)) for d in once if d ^ 1 in once)
+
+
 @dataclass(frozen=True, slots=True)
 class TaggedWalk:
-    """A closed dual walk and its chain; its tag (k, v) is its table key."""
+    """A closed dual walk of a graph with m edges; its tag (k, v) is its table key.
+
+    chain is built anew on every read; combine keeps the ones it sums.
+    """
 
     darts: tuple[int, ...]
-    chain: IntegerChain
+    m: int
 
     @property
     def length(self) -> int:
         return len(self.darts)
+
+    @property
+    def chain(self) -> IntegerChain:
+        return IntegerChain.of_walk(self.m, self.darts)
 
 
 @dataclass(frozen=True)
@@ -92,18 +114,35 @@ class CoverResult:
         return max(self.states_per_start)
 
     @cached_property
-    def by_mass(self) -> tuple[list, dict[tuple[int, ...], list[int]]]:
-        """The nonzero walks as (mass, tag, chain, length), sorted by mass
-        then tag, and for each crossing vector the ascending indices of its
-        entries.  Tags are unique, so the entries of the walks within any
-        depth come in the same order as in a table built to that depth."""
+    def by_mass(self) -> tuple[list, dict[int, list[int]], list]:
+        """The nonzero walks as (walk_mass, tag, packed v, length, walk),
+        sorted by mass then tag; for each packed v the ascending indices of
+        its entries; and a chain slot per entry, None until combine fills it.
+
+        Tags are unique, so the entries of the walks within any depth come
+        in the same order as in a table built to that depth.  v packs to
+        sum v_j * R**j with R = 2 (g + 1) depth_cap + 1: a walk has
+        |v_j| <= depth_cap, so a sum of at most g + 1 walks has digits
+        below R / 2, no carry, and packs to 0 only when its v is 0.
+        """
+        coords = len(next(iter(self.walks))[1]) if self.walks else 0
+        radix = (coords + 2) * self.depth_cap + 1
+
+        def pack(v: tuple[int, ...]) -> int:
+            packed = 0
+            for x in reversed(v):
+                packed = packed * radix + x
+            return packed
+
         entries = sorted(
-            (w.chain.size, key, w.chain, w.length) for key, w in self.walks.items() if w.chain.size
+            (mass, key, pack(key[1]), w.length, w)
+            for key, w in self.walks.items()
+            if (mass := walk_mass(w.darts))
         )
-        by_v: dict[tuple[int, ...], list[int]] = {}
-        for i, (_, (_, v), _, _) in enumerate(entries):
-            by_v.setdefault(v, []).append(i)
-        return entries, by_v
+        by_v: dict[int, list[int]] = {}
+        for i, entry in enumerate(entries):
+            by_v.setdefault(entry[2], []).append(i)
+        return entries, by_v, [None] * len(entries)
 
 
 def shortest_tagged_walks(
@@ -137,13 +176,13 @@ def shortest_tagged_walks(
     faces = dual.n
     tails, heads, out_darts = dual.tails, dual.heads, dual.out_darts
     nd = dual.num_darts
-    weights = [w.values.dart_coeff(d) for d in range(nd)]
-    thetas = [system.theta_dart(d) for d in range(nd)]
 
     # walks of at most `depth` darts that move k by at most n - 1 and each
     # v_j by at most 1 per dart stay in this box; an int state whose
     # coordinate escaped would silently alias another state
-    if any(abs(x) > n - 1 for x in weights) or any(abs(x) > 1 for row in thetas for x in row):
+    if any(abs(x) > n - 1 for x in w.values.coeffs) or any(
+        abs(x) > 1 for loop in system.loops for x in loop.coeffs
+    ):
         raise AssertionError("covering state escaped its analytic bounds")
     # the tag digits of q = s // faces, lowest first: v_2g ... v_1, then k,
     # each as its coordinate plus its bound, the largest |v_j| or |k|; place
@@ -153,14 +192,21 @@ def shortest_tagged_walks(
     for b in bounds[:-1]:
         place.append(place[-1] * (2 * b + 1))
     offset = faces * sum(p * b for p, b in zip(place, bounds))
-    step = [
-        heads[d] - tails[d]
-        + faces * sum(p * x for p, x in zip(place, (*reversed(thetas[d]), weights[d])))
-        for d in range(nd)
-    ]
+    # dart 2e moves the state by its face change plus its moves of k and
+    # v_1 .. v_2g, its edge's coefficients; its twin moves it back
+    high_first = place[::-1]
+    step = [0] * nd
+    for e, tag_move in enumerate(zip(w.values.coeffs, *(loop.coeffs for loop in system.loops))):
+        d = 2 * e
+        step[d] = heads[d] - tails[d] + faces * sum(map(mul, high_first, tag_move))
+        step[d + 1] = -step[d]
     # moves[u]: (step, dart) for the darts leaving u that the current run may
-    # use, ascending; each run drops its start dart when it is done
+    # use, ascending; into[x]: the tail faces of the darts into x that it may
+    # use.  Each run drops its start dart from both when it is done.
     moves = [[(step[d], d) for d in ds] for ds in out_darts]
+    into = [[] for _ in range(faces)]
+    for d in range(nd):
+        into[heads[d]].append(tails[d])
 
     # a closed state s at the start face t0 has tag digits q = s // faces,
     # the same int in every run, so best is keyed by q and decoded once
@@ -169,15 +215,13 @@ def shortest_tagged_walks(
     states_per_start = []
     for d0 in range(nd):
         t0 = tails[d0]
-        # dist[u]: fewest darts >= d0 from face u back to t0; the darts
-        # into a face x are the twins d ^ 1 of its out-darts d
+        # dist[u]: fewest darts >= d0 from face u back to t0
         dist = [unreachable] * faces
         dist[t0] = 0
         queue = [t0]
         for x in queue:
-            for d in out_darts[x]:
-                y = heads[d]
-                if d ^ 1 >= d0 and dist[y] == unreachable:
+            for y in into[x]:
+                if dist[y] == unreachable:
                     dist[y] = dist[x] + 1
                     queue.append(y)
 
@@ -220,19 +264,20 @@ def shortest_tagged_walks(
             frontier = nxt
             level += 1
         moves[t0].pop(0)
+        into[heads[d0]].remove(t0)
         states_per_start.append(len(visited))
 
     # q sorts like the tag, so the table comes out in tag order; each q is
     # decoded from its highest digit, k, down to v_2g
-    high_first = list(zip(reversed(place), reversed(bounds)))
+    digits = list(zip(high_first, reversed(bounds)))
     walks = {}
     for q in sorted(best):
         darts = best[q]
         coords = []
-        for p, b in high_first:
+        for p, b in digits:
             digit, q = divmod(q, p)
             coords.append(digit - b)
-        walks[coords[0], tuple(coords[1:])] = TaggedWalk(darts, IntegerChain.of_walk(m, darts))
+        walks[coords[0], tuple(coords[1:])] = TaggedWalk(darts, m)
     return CoverResult(
         walks=walks,
         depth_cap=depth,

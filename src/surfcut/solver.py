@@ -15,9 +15,11 @@ The solve reads the walk table only to depth D = min(m, floor(U * F)), and
 scans sums of at most genus+1 tagged walks whose crossing vectors cancel:
 one pass over the walks sorted by chain mass, cut off where the mass passes
 floor(best * F) for the best value found so far, with the last walk of each
-sum looked up by the crossing vector that cancels the rest.  That sorted
-list and its crossing-vector lookup do not depend on f, so each walk table
-builds them once, and the solves that read one table share them.  The best
+sum looked up by the crossing vector that cancels the rest.  Crossing
+vectors are packed into ints, so summing them is adding ints, and a walk's
+chain is built the first time a sum uses it.  The sorted list, its lookup
+and the chains built do not depend on f, so each walk table holds them
+once, and the solves that read one table share them.  The best
 chain becomes a vertex cut by thresholding a potential function, which can
 only improve the score.  The two values must agree at the optimum, and the
 cut must score no worse than U; the solver checks both.
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor
-from operator import add
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, shortest_tagged_walks
@@ -138,13 +139,21 @@ def fewest_cut_edges(g: EmbeddedGraph, w: WeightFunction) -> dict[int, tuple[int
             masks.append(1 << u)
     deg = [sum(mask.bit_count() for mask in masks) for masks in nbr]
 
-    # below[v] grows into the subtree of v
-    ends = list(zip(g.tails[::2], g.heads[::2]))
+    # below[v], with its vertices members[v] and its cut edges below_cut[v],
+    # grows into the subtree of v; merging a child's subtree C into its
+    # parent's P gives cut(P + C) = cut(P) + cut(C) - 2 e(P, C)
     below = [1 << v for v in range(n)]
+    members = [[v] for v in range(n)]
+    below_cut = deg[:]
     for v in reversed(w.order[1:]):
         S = below[v]
-        keep(S.bit_count(), sum((S >> a ^ S >> b) & 1 for a, b in ends), S)
-        below[g.tails[w.parent_dart[v]]] |= S
+        keep(len(members[v]), below_cut[v], S)
+        p = g.tails[w.parent_dart[v]]
+        P = below[p]
+        e = sum((P & mask).bit_count() for u in members[v] for mask in nbr[u])
+        below_cut[p] += below_cut[v] - 2 * e
+        below[p] = P | S
+        members[p] += members[v]
 
     # the BFS of build_weight (FIFO, darts ascending); S is the ball of the
     # vertices scanned before v.  ball[k]: the fewest cut edges of a k-ball,
@@ -216,13 +225,15 @@ def combine_and_minimize(
     strict, so chains tied at the best value are still scanned.  Past that
     test a walk longer than `depth` darts is skipped, so a deeper table
     scans the walks of the depth-`depth` table in the same order and gives
-    the same result, candidate count included.  The last slot must cancel
-    the crossings so far, so it reads only the walks with that crossing
-    vector.  Ties break on value, then chain size, then chain coefficients.
+    the same result, candidate count included.  Crossing vectors are the
+    index's packed ints, and the last slot must cancel the sum so far, so it
+    reads only the walks whose int is its negative.  A walk's chain is built
+    when a candidate first sums it and kept in the index's slot.  Ties break
+    on value, then chain size, then chain coefficients.
     None when no sum of walks within `depth` has cancelling crossings and a
     proper balance.
     """
-    entries, by_v = cover.by_mass
+    entries, by_v, chains = cover.by_mass
 
     fcache: dict[int, Fraction] = {}
 
@@ -230,6 +241,12 @@ def combine_and_minimize(
         if k not in fcache:
             fcache[k] = f(Fraction(k, n))
         return fcache[k]
+
+    def chain_at(i: int) -> IntegerChain:
+        chain = chains[i]
+        if chain is None:
+            chain = chains[i] = entries[i][4].chain
+        return chain
 
     peak = balance_peak(f, n)
     best: tuple | None = None
@@ -239,36 +256,36 @@ def combine_and_minimize(
     def consider(picked: tuple[int, ...], k: int):
         nonlocal best, candidates, limit
         candidates += 1
-        chain = entries[picked[0]][2]
+        chain = chain_at(picked[0])
         for i in picked[1:]:
-            chain = chain + entries[i][2]
+            chain = chain + chain_at(i)
         value = Fraction(chain.size) / fval(abs(k))
         key = (value, chain.size, chain.coeffs)
         if best is None or key < best[0]:
             best = (key, chain, picked)
             limit = min(m, floor(value * peak))
 
-    def extend(picked: tuple[int, ...], left: int, k: int, v: tuple[int, ...], mass: int):
+    def extend(picked: tuple[int, ...], left: int, k: int, v: int, mass: int):
         """Fill `left` more slots with entries at indices >= the last one picked."""
         start = picked[-1] if picked else 0
         if left == 1:
-            same = by_v.get(tuple(-x for x in v), ())
+            same = by_v.get(-v, ())
             for i in same[bisect_left(same, start):]:
-                emass, (ek, _), _, length = entries[i]
+                emass, (ek, _), _, length, _ = entries[i]
                 if mass + emass > limit:
                     break
                 if length <= depth and 1 <= abs(k + ek) <= n - 1:
                     consider(picked + (i,), k + ek)
             return
         for i in range(start, len(entries)):
-            emass, (ek, ev), _, length = entries[i]
+            emass, (ek, _), ev, length, _ = entries[i]
             if mass + emass * left > limit:
                 break
             if length <= depth:
-                extend(picked + (i,), left - 1, k + ek, tuple(map(add, v, ev)), mass + emass)
+                extend(picked + (i,), left - 1, k + ek, v + ev, mass + emass)
 
     for r in range(1, system.genus + 2):
-        extend((), r, 0, (0,) * (2 * system.genus), 0)
+        extend((), r, 0, 0, 0)
 
     if best is None:
         return None

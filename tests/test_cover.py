@@ -10,7 +10,7 @@ from test_fuzz import seeded_multigraphs
 
 from surfcut.balance import quotient
 from surfcut.construct import complete_edges, cycle_edges, find_embedding, grid_torus, random_planar
-from surfcut.cover import dump_walks, shortest_tagged_walks
+from surfcut.cover import dump_walks, shortest_tagged_walks, walk_mass
 from surfcut.dual import IntegerChain, build_dual
 from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
@@ -306,3 +306,20 @@ def test_every_depth_is_the_deepest_table_restricted(corpus_contexts):
             cover = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, d)
             within = [(key, walk) for key, walk in full.walks.items() if walk.length <= d]
             assert list(cover.walks.items()) == within, (ctx.g.n, ctx.g.m, d)
+
+
+def test_walk_mass_is_the_chain_size(corpus_contexts):
+    # combine sorts on walk_mass and builds a walk's chain only when it sums
+    # it; the corpus is read at depth m, the seeded draws at the differential
+    # test's depths, where some walks cross an edge both ways
+    tables = [(ctx.g.m, ctx.cover) for ctx in corpus_contexts.values()]
+    for g, depth in (*DIFFERENTIAL_GRAPHS["genus2"](), *((g, 5) for g in seeded_multigraphs(3, 4, seed=3))):
+        ctx = SolveContext(g)
+        tables.append((g.m, shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)))
+    both_ways = 0
+    for m, cover in tables:
+        for walk in cover.walks.values():
+            assert walk_mass(walk.darts) == walk.chain.size
+            assert walk.chain == IntegerChain.of_walk(m, walk.darts)
+            both_ways += any(d ^ 1 in walk.darts for d in walk.darts)
+    assert both_ways

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from test_fuzz import seeded_multigraphs
 from surfcut import embedding, homology, solver
 from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders, grid_torus, random_planar
-from surfcut.cover import CoverResult
+from surfcut.cover import CoverResult, TaggedWalk
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import mirror_image
 from surfcut.homology import build_weight
@@ -117,12 +118,39 @@ def test_combine_without_a_cancelling_sum_returns_none(corpus_contexts):
     assert combine_and_minimize(empty, ctx.loops, quotient(), ctx.g.n, ctx.g.m, ctx.g.m) is None
 
 
+def test_packed_crossing_vectors_do_not_carry(corpus_contexts):
+    # two one-dart walks of a genus-2 depth-1 table: twice the first plus the
+    # second crosses the loops (3, -1, 0, 0) times, which a radix of
+    # 2 * depth + 1 = 3 would pack to 0, passing it as a cancelling sum
+    ctx = corpus_contexts["series33_g2"]
+    m = ctx.g.m
+    walks = {(0, (1, 0, 0, 0)): TaggedWalk((0,), m), (1, (1, -1, 0, 0)): TaggedWalk((2,), m)}
+    table = CoverResult(walks=walks, depth_cap=1, state_space_bound=0, states_per_start=(0,))
+    assert combine_and_minimize(table, ctx.loops, quotient(), ctx.g.n, m, 1) is None
+
+
+# genus-3 draws read at depth 2, name -> index in seeded_multigraphs(3, 8,
+# seed=3): the draws whose depth-2 tables keep the plain enumeration of up
+# to four walks under about a second
+SHALLOW_GENUS3 = {"genus3_1": 1, "genus3_6": 6, "genus3_7": 7}
+
+
+def enumeration_context(name, corpus_contexts):
+    """A corpus context, or a genus-3 draw's pipeline with its depth-2 table as the cover."""
+    if name in corpus_contexts:
+        return corpus_contexts[name]
+    ctx = SolveContext(seeded_multigraphs(3, 8, seed=3)[SHALLOW_GENUS3[name]])
+    return types.SimpleNamespace(
+        g=ctx.g, genus=ctx.genus, loops=ctx.loops, weight=ctx.weight, cover=ctx.walk_table(2)
+    )
+
+
 @pytest.mark.parametrize(
-    "name", ["theta_torus", "banana24_torus", "k4_torus", "k5_torus", "banana25_g2"]
+    "name", ["theta_torus", "banana24_torus", "k4_torus", "k5_torus", "banana25_g2", *SHALLOW_GENUS3]
 )
 def test_combine_matches_plain_enumeration(name, corpus_contexts):
     # every multiset of at most genus+1 walks, with no pruning at all
-    ctx = corpus_contexts[name]
+    ctx = enumeration_context(name, corpus_contexts)
     n, m, f = ctx.g.n, ctx.g.m, quotient()
     walks = [
         (key, w) for key, w in ctx.cover.walks.items() if not w.chain.is_zero and w.chain.size <= m
