@@ -14,17 +14,17 @@ table at its own depth.
 
 A dart's weight is a subtree size, at most n - 1, and each loop crosses an
 edge at most once, so walks of at most D darts keep k and v inside a box
-known before the search.  A state is then one int in mixed radix, digits
-from the lowest: face, v_2g + V, ..., v_1 + V, k + K.  A dart moves every
-state by the same precomputed int.  With k the highest digit and v_1 the
-next, q = state // faces orders states exactly as their tags (k, v) sort,
-so sorting the closed states' ints puts the table in tag order with no
-tuple compared.  One BFS runs per start dart d0, using only darts >= d0:
-every closed walk has a rotation starting at its smallest dart, so no class
-is missed.  The minimum-face rule (Johnson 1975: start at the smallest face
-and stay on faces >= it) would prune more, but it finds a different member
-of a tie than the lexicographic minimum and so changes the stored dart
-sequences.
+known before the search: |k| <= K = D (n - 1) and |v_j| <= D.  A state
+is then one int in mixed radix, digits from the lowest: face, v_2g + D,
+..., v_1 + D, k + K.  A dart moves every state by the same precomputed
+int.  With k the highest digit and v_1 the next, q = state // faces orders
+states exactly as their tags (k, v) sort, so sorting the closed states'
+ints puts the table in tag order with no tuple compared.  One BFS runs per
+start dart d0, using only darts >= d0: every closed walk has a rotation
+starting at its smallest dart, so no class is missed.  The minimum-face
+rule (Johnson 1975: start at the smallest face and stay on faces >= it)
+would prune more, but it finds a different member of a tie than the
+lexicographic minimum and so changes the stored dart sequences.
 
 Each run prunes with an admissible bound, as in A* (Hart, Nilsson & Raphael
 1968): with dist(u) the fewest darts >= d0 from face u back to the start
@@ -41,10 +41,15 @@ frontier, where the loop holds their face and level, and a closed state's
 walk is rebuilt from the parent darts only when it is shorter than the
 walk its tag already has.
 
-The table keeps only each walk's darts.  Combine sorts the walks by chain
-size, which walk_mass counts from the darts, and sums few of their chains,
-so CoverResult.by_mass packs each crossing vector into an int and holds a
-chain slot per walk, filled the first time a sum uses that walk.
+The table keeps each walk's darts under its q and is never decoded on the
+way to combine.  The v digits use radix R = 2 (g + 1) D + 1 rather than
+the 2 D + 1 the box needs, so that the v part of q, less its offsets, is
+the crossing vector packed as an int in which the sum of at most g + 1
+walks never carries.  CoverResult.by_mass reads k and that packed v off q
+by integer arithmetic, orders the walks by chain size, which walk_mass
+counts from the darts, in buckets filled in q order, and holds a chain
+slot per walk, filled the first time a sum uses that walk.  Only the dump,
+the tests and the walks a solve picks decode q into its tag.
 """
 
 from __future__ import annotations
@@ -58,13 +63,26 @@ from surfcut.embedding import EmbeddedGraph
 from surfcut.homology import LoopSystem, WeightFunction
 
 
+# the reverse of dart d is d ^ 1
+_twin = (1).__xor__
+
+
 def walk_mass(darts: tuple[int, ...]) -> int:
     """The size of a walk's chain: one per dart, less two for each pair of
     opposite crossings of one edge, so len(darts) if there are none."""
     once = set(darts)
-    if len(once) == len({d >> 1 for d in once}):
+    if once.isdisjoint(map(_twin, once)):
         return len(darts)
     return len(darts) - sum(min(darts.count(d), darts.count(d ^ 1)) for d in once if d ^ 1 in once)
+
+
+def tag_layout(n: int, genus: int, depth: int) -> tuple[int, int, int, int]:
+    """How tags of walks of at most `depth` darts pack into q: the radix R of
+    the v digits, the place of k's digit, the offset K = depth (n - 1) of k,
+    and the offset of the v part of q, depth in each of its 2g digits."""
+    radix = 2 * (genus + 1) * depth + 1
+    coords = 2 * genus
+    return radix, radix**coords, depth * (n - 1), depth * sum(radix**j for j in range(coords))
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,13 +108,17 @@ class TaggedWalk:
 class CoverResult:
     """All per-tag shortest closed walks of at most depth_cap darts.
 
-    walks maps each tag (k, v), the weight and crossing vector of a walk, to
-    that walk, in tag order; the tag is stored only as the key.  The other
-    fields account for the search that built the table: states_per_start
-    has one entry per start dart, the states its run visited after the
-    prune (those it reached, expanded or not), and state_space_bound is the
-    size of the covering state space V' x [-K..K] x prod [-Vj..Vj] that
-    bounds every run.
+    darts maps each walk's packed tag q to the walk's darts, in ascending q,
+    which is tag order.  q packs the tag (k, v), the weight and crossing
+    vector of a walk, in mixed radix, digits from the lowest: v_2g + D, ...,
+    v_1 + D in radix R = 2 (genus + 1) D + 1, then k + K, with D the depth
+    cap and K = D (n - 1).  tag decodes q, and walks is the table decoded,
+    tag -> TaggedWalk, built on first read for the dump and the tests; a
+    solve never reads it.  The other fields account for the search that
+    built the table: states_per_start has one entry per start dart, the
+    states its run visited after the prune (those it reached, expanded or
+    not), and state_space_bound is the size of the covering state space
+    V' x [-K..K] x prod [-D..D] that bounds every run.
 
     by_mass is the index the combine step reads, built on first read and
     kept with the table object, so every solve that reads one table, at
@@ -104,7 +126,10 @@ class CoverResult:
     object and builds its own.
     """
 
-    walks: dict[tuple[int, tuple[int, ...]], TaggedWalk]
+    darts: dict[int, tuple[int, ...]]
+    n: int
+    m: int
+    genus: int
     depth_cap: int
     state_space_bound: int
     states_per_start: tuple[int, ...]
@@ -114,34 +139,47 @@ class CoverResult:
         return max(self.states_per_start)
 
     @cached_property
+    def _layout(self) -> tuple[int, int, int, int]:
+        return tag_layout(self.n, self.genus, self.depth_cap)
+
+    def tag(self, q: int) -> tuple[int, tuple[int, ...]]:
+        """The tag (k, v) that q packs."""
+        radix, place, k_offset, _ = self._layout
+        k, rest = divmod(q, place)
+        v = []
+        for _ in range(2 * self.genus):
+            rest, digit = divmod(rest, radix)
+            v.append(digit - self.depth_cap)
+        return k - k_offset, tuple(reversed(v))
+
+    @cached_property
+    def walks(self) -> dict[tuple[int, tuple[int, ...]], TaggedWalk]:
+        return {self.tag(q): TaggedWalk(darts, self.m) for q, darts in self.darts.items()}
+
+    @cached_property
     def by_mass(self) -> tuple[list, dict[int, list[int]], list]:
-        """The nonzero walks as (walk_mass, tag, packed v, length, walk),
-        sorted by mass then tag; for each packed v the ascending indices of
+        """The nonzero walks as (walk_mass, q, k, packed v, length, darts),
+        sorted by mass then q; for each packed v the ascending indices of
         its entries; and a chain slot per entry, None until combine fills it.
 
-        Tags are unique, so the entries of the walks within any depth come
-        in the same order as in a table built to that depth.  v packs to
-        sum v_j * R**j with R = 2 (g + 1) depth_cap + 1: a walk has
-        |v_j| <= depth_cap, so a sum of at most g + 1 walks has digits
-        below R / 2, no carry, and packs to 0 only when its v is 0.
+        q orders like the tag and tags are unique, so the entries of the
+        walks within any depth come in the same order as in a table built to
+        that depth.  The packed v is the v part of q less its offsets, sum
+        v_j R**(2g - j): a walk has |v_j| <= depth_cap, so a sum of at most
+        g + 1 walks has digits below R / 2, no carry, and packs to 0 only
+        when its v is 0.
         """
-        coords = len(next(iter(self.walks))[1]) if self.walks else 0
-        radix = (coords + 2) * self.depth_cap + 1
-
-        def pack(v: tuple[int, ...]) -> int:
-            packed = 0
-            for x in reversed(v):
-                packed = packed * radix + x
-            return packed
-
-        entries = sorted(
-            (mass, key, pack(key[1]), w.length, w)
-            for key, w in self.walks.items()
-            if (mass := walk_mass(w.darts))
-        )
+        _, place, k_offset, v_offset = self._layout
+        buckets: list[list] = [[] for _ in range(self.depth_cap + 1)]
+        for q, darts in self.darts.items():
+            mass = walk_mass(darts)
+            if mass:
+                k, v = divmod(q, place)
+                buckets[mass].append((mass, q, k - k_offset, v - v_offset, len(darts), darts))
+        entries = [entry for bucket in buckets for entry in bucket]
         by_v: dict[int, list[int]] = {}
         for i, entry in enumerate(entries):
-            by_v.setdefault(entry[2], []).append(i)
+            by_v.setdefault(entry[3], []).append(i)
         return entries, by_v, [None] * len(entries)
 
 
@@ -184,17 +222,15 @@ def shortest_tagged_walks(
         abs(x) > 1 for loop in system.loops for x in loop.coeffs
     ):
         raise AssertionError("covering state escaped its analytic bounds")
-    # the tag digits of q = s // faces, lowest first: v_2g ... v_1, then k,
-    # each as its coordinate plus its bound, the largest |v_j| or |k|; place
-    # holds their place values in q
-    bounds = (depth,) * (2 * system.genus) + (depth * (n - 1),)
-    place = [1]
-    for b in bounds[:-1]:
-        place.append(place[-1] * (2 * b + 1))
-    offset = faces * sum(p * b for p, b in zip(place, bounds))
+    # the tag digits of q = s // faces, as tag_layout packs them: high_first
+    # holds their place values in q, k's first, then v_1 .. v_2g
+    genus = system.genus
+    radix, place, k_bound, v_offset = tag_layout(n, genus, depth)
+    high_first = [place] + [radix**j for j in reversed(range(2 * genus))]
+    origin_q = k_bound * place + v_offset
+    offset = faces * origin_q
     # dart 2e moves the state by its face change plus its moves of k and
     # v_1 .. v_2g, its edge's coefficients; its twin moves it back
-    high_first = place[::-1]
     step = [0] * nd
     for e, tag_move in enumerate(zip(w.values.coeffs, *(loop.coeffs for loop in system.loops))):
         d = 2 * e
@@ -209,8 +245,8 @@ def shortest_tagged_walks(
         into[heads[d]].append(tails[d])
 
     # a closed state s at the start face t0 has tag digits q = s // faces,
-    # the same int in every run, so best is keyed by q and decoded once
-    best = {offset // faces: ()}
+    # the same int in every run, so best is keyed by q
+    best = {origin_q: ()}
     unreachable = depth + 1
     states_per_start = []
     for d0 in range(nd):
@@ -267,21 +303,14 @@ def shortest_tagged_walks(
         into[heads[d0]].remove(t0)
         states_per_start.append(len(visited))
 
-    # q sorts like the tag, so the table comes out in tag order; each q is
-    # decoded from its highest digit, k, down to v_2g
-    digits = list(zip(high_first, reversed(bounds)))
-    walks = {}
-    for q in sorted(best):
-        darts = best[q]
-        coords = []
-        for p, b in digits:
-            digit, q = divmod(q, p)
-            coords.append(digit - b)
-        walks[coords[0], tuple(coords[1:])] = TaggedWalk(darts, m)
+    # q sorts like the tag, so the table comes out in tag order
     return CoverResult(
-        walks=walks,
+        darts={q: best[q] for q in sorted(best)},
+        n=n,
+        m=m,
+        genus=genus,
         depth_cap=depth,
-        state_space_bound=faces * place[-1] * (2 * bounds[-1] + 1),
+        state_space_bound=faces * (2 * depth + 1) ** (2 * genus) * (2 * k_bound + 1),
         states_per_start=tuple(states_per_start),
     )
 

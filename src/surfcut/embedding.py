@@ -165,16 +165,6 @@ def genus(g: EmbeddedGraph, faces: FaceStructure | None = None) -> int:
     return (2 - chi) // 2
 
 
-def mirror_image(g: EmbeddedGraph) -> EmbeddedGraph:
-    """The same graph with every rotation reversed (opposite orientation)."""
-    inv = [0] * g.num_darts
-    for d, e in enumerate(g.rotation):
-        inv[e] = d
-    return EmbeddedGraph(
-        n=g.n, tails=g.tails, heads=g.heads, rotation=tuple(inv), allow_loops=g.allow_loops
-    )
-
-
 def parse_embedding(text: str) -> EmbeddedGraph:
     """Parse an embedding file.
 

@@ -72,9 +72,6 @@ class LoopSystem:
     def genus(self) -> int:
         return len(self.loops) // 2
 
-    def theta_dart(self, d: int) -> tuple[int, ...]:
-        return tuple(loop.dart_coeff(d) for loop in self.loops)
-
     def theta(self, c: IntegerChain) -> tuple[int, ...]:
         """Crossing vector of a chain with each loop of the system."""
         return tuple(c.dot(loop) for loop in self.loops)

@@ -1,4 +1,4 @@
-"""Brute-force references the solver is tested against.
+"""The brute-force cut reference the solver is tested against.
 
 Subset enumeration scores every proper cut from the definition, building
 each side from a smaller one plus its top vertex so that a cut size costs a
@@ -6,10 +6,7 @@ few popcounts; loops are never cut and are skipped.  A cut's value depends
 only on its size and |S|, and at a fixed |S| it rises with the size, so the
 best cut is found with one balance function call per side size, from each
 size's fewest cut; only the best cut and a connected witness are kept.
-Walk enumeration lists all short closed walks of a dual up to rotation and
-reversal, each as its darts and its tag (k, v), giving an independent check
-of the tagged walk table; it builds no chains and reads nothing of the
-cover.  Both blow up exponentially and carry hard caps.
+The scan blows up exponentially and carries a hard cap.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from itertools import compress
 
 from surfcut.balance import BalanceFunction
 from surfcut.embedding import EmbeddedGraph
-from surfcut.homology import LoopSystem, WeightFunction
 from surfcut.solver import CutResult, score_cut
 
 
@@ -115,72 +111,3 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
             witness = score_cut(g, S, f)
             break
     return OracleReport(best=best, minimal_witness=witness)
-
-
-def _represents_class(seq: tuple[int, ...]) -> bool:
-    """Whether seq is the smallest closed walk modulo rotation and reversal.
-
-    seq[0] must be the smallest dart of seq and of its reverse, so the
-    smallest member of the class is a rotation of one of them starting there.
-    """
-    rev = tuple(d ^ 1 for d in reversed(seq))
-    return all(seq <= s[i:] + s[:i] for s in (seq, rev) for i, d in enumerate(s) if d == seq[0])
-
-
-def enumerate_closed_walks(
-    dual: EmbeddedGraph,
-    w: WeightFunction,
-    system: LoopSystem,
-    max_len: int,
-) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """All closed walks of the dual up to max_len, one per symmetry class.
-
-    Each class comes as (darts, k, v): its smallest walk, that walk's weight
-    and its crossing vector.  Classes identify rotations of the same walk and
-    the reverse walk (whose tags are negated).  The trivial empty walk comes
-    first, and the rest are sorted by length, then darts.
-    """
-    if max_len > 8:
-        raise ValueError("walk enumeration capped at length 8")
-    classes: list[tuple[int, ...]] = []
-
-    def go(start: int, current: int, seq: list[int], moves: list[tuple[int, ...]]):
-        if current == start:
-            walk = tuple(seq)
-            if _represents_class(walk):
-                classes.append(walk)
-        if len(seq) == max_len:
-            return
-        for d in moves[current]:
-            seq.append(d)
-            go(start, dual.heads[d], seq, moves)
-            seq.pop()
-
-    # let d0 be the smallest dart of a class's walk and its reverse: the one
-    # holding d0 has a rotation that starts at d0 and uses no dart below it,
-    # so one search per d0 over darts >= d0 meets the smallest member of every
-    # class exactly once.  d0 is even, since an odd dart d in one direction
-    # puts d - 1 in the other, and the walks a search from an even d0 meets
-    # have no dart below d0 in either direction
-    for d0 in range(0, dual.num_darts if max_len > 0 else 0, 2):
-        moves = [tuple(d for d in ds if d >= d0) for ds in dual.out_darts]
-        go(dual.tails[d0], dual.heads[d0], [d0], moves)
-
-    weights = [w.values.dart_coeff(d) for d in range(dual.num_darts)]
-    thetas = [system.theta_dart(d) for d in range(dual.num_darts)]
-    walks = [((), 0, (0,) * (2 * system.genus))]
-    for seq in sorted(classes, key=lambda s: (len(s), s)):
-        v = tuple(map(sum, zip(*(thetas[d] for d in seq))))
-        walks.append((seq, sum(weights[d] for d in seq), v))
-    return walks
-
-
-def min_tag_table(walks: list[tuple]) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Shortest length per (k, v) tag over (darts, k, v) walks, counting each
-    walk and its reverse."""
-    table: dict[tuple[int, tuple[int, ...]], int] = {}
-    for darts, k, v in walks:
-        for key in ((k, v), (-k, tuple(-x for x in v))):
-            if key not in table or len(darts) < table[key]:
-                table[key] = len(darts)
-    return table

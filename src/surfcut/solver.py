@@ -15,11 +15,13 @@ The solve reads the walk table only to depth D = min(m, floor(U * F)), and
 scans sums of at most genus+1 tagged walks whose crossing vectors cancel:
 one pass over the walks sorted by chain mass, cut off where the mass passes
 floor(best * F) for the best value found so far, with the last walk of each
-sum looked up by the crossing vector that cancels the rest.  Crossing
-vectors are packed into ints, so summing them is adding ints, and a walk's
-chain is built the first time a sum uses it.  The sorted list, its lookup
-and the chains built do not depend on f, so each walk table holds them
-once, and the solves that read one table share them.  The best
+sum looked up by the crossing vector that cancels the rest.  The table
+keys each walk by its tag packed into one int, and the crossing-vector part
+of that int sums over g + 1 walks without carries, so summing crossing
+vectors is adding ints; a walk's chain is built the first time a sum uses
+it, and only the tags of the walks picked are decoded.  The sorted list,
+its lookup and the chains built do not depend on f, so each walk table
+holds them once, and the solves that read one table share them.  The best
 chain becomes a vertex cut by thresholding a potential function, which can
 only improve the score.  The two values must agree at the optimum, and the
 cut must score no worse than U; the solver checks both.
@@ -225,11 +227,13 @@ def combine_and_minimize(
     strict, so chains tied at the best value are still scanned.  Past that
     test a walk longer than `depth` darts is skipped, so a deeper table
     scans the walks of the depth-`depth` table in the same order and gives
-    the same result, candidate count included.  Crossing vectors are the
-    index's packed ints, and the last slot must cancel the sum so far, so it
+    the same result, candidate count included.  Each entry carries its
+    weight k and its crossing vector packed into an int, both read off the
+    table's packed tag, and the last slot must cancel the sum so far, so it
     reads only the walks whose int is its negative.  A walk's chain is built
-    when a candidate first sums it and kept in the index's slot.  Ties break
-    on value, then chain size, then chain coefficients.
+    when a candidate first sums it and kept in the index's slot, and
+    walks_used decodes the tags of the walks picked.  Ties break on value,
+    then chain size, then chain coefficients.
     None when no sum of walks within `depth` has cancelling crossings and a
     proper balance.
     """
@@ -245,7 +249,7 @@ def combine_and_minimize(
     def chain_at(i: int) -> IntegerChain:
         chain = chains[i]
         if chain is None:
-            chain = chains[i] = entries[i][4].chain
+            chain = chains[i] = IntegerChain.of_walk(m, entries[i][5])
         return chain
 
     peak = balance_peak(f, n)
@@ -271,14 +275,14 @@ def combine_and_minimize(
         if left == 1:
             same = by_v.get(-v, ())
             for i in same[bisect_left(same, start):]:
-                emass, (ek, _), _, length, _ = entries[i]
+                emass, _, ek, _, length, _ = entries[i]
                 if mass + emass > limit:
                     break
                 if length <= depth and 1 <= abs(k + ek) <= n - 1:
                     consider(picked + (i,), k + ek)
             return
         for i in range(start, len(entries)):
-            emass, (ek, _), ev, length, _ = entries[i]
+            emass, _, ek, ev, length, _ = entries[i]
             if mass + emass * left > limit:
                 break
             if length <= depth:
@@ -286,6 +290,9 @@ def combine_and_minimize(
 
     for r in range(1, system.genus + 2):
         extend((), r, 0, 0, 0)
+    # extend reaches itself through its closure cell; dropping it lets the
+    # scan's closures and state go by refcount, not by the cyclic collector
+    extend = None
 
     if best is None:
         return None
@@ -293,7 +300,7 @@ def combine_and_minimize(
     return CombineResult(
         sigma=sigma,
         value=value,
-        walks_used=tuple(entries[i][1] for i in picked),
+        walks_used=tuple(cover.tag(entries[i][1]) for i in picked),
         candidates=candidates,
     )
 

@@ -12,12 +12,14 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+from walk_oracle import enumerate_closed_walks, min_tag_table
+
 from surfcut import cli
 from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import complete_bipartite_edges, complete_edges, random_planar
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.embedding import trace_faces
-from surfcut.oracle import brute_force_cut, enumerate_closed_walks, min_tag_table
+from surfcut.oracle import brute_force_cut
 from surfcut.solver import SolveContext
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from test_fuzz import seeded_multigraphs
+from walk_oracle import enumerate_closed_walks, theta_dart
 
 from surfcut.balance import quotient
 from surfcut.construct import complete_edges, cycle_edges, find_embedding, grid_torus, random_planar
@@ -14,7 +15,6 @@ from surfcut.cover import dump_walks, shortest_tagged_walks, walk_mass
 from surfcut.dual import IntegerChain, build_dual
 from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
-from surfcut.oracle import enumerate_closed_walks
 from surfcut.solver import SolveContext, balance_peak
 
 # sha256 of dump_walks(ctx.cover) per corpus instance, in manifest order; the
@@ -69,7 +69,7 @@ def test_walks_are_closed_and_tagged_consistently(name):
     dual, w, system = pipeline(g)
     cover = shortest_tagged_walks(dual, w, system, depth)
     assert all(any(v[j] for _, v in cover.walks) for j in range(2 * system.genus))
-    thetas = [system.theta_dart(d) for d in range(dual.num_darts)]
+    thetas = [theta_dart(system, d) for d in range(dual.num_darts)]
     for (k, v), walk in cover.walks.items():
         assert walk.length <= depth
         if walk.darts:
@@ -152,7 +152,7 @@ def test_shortest_walk_beats_any_longer_witness():
     for d in range(dual.num_darts):
         u, x = dual.tails[d], dual.heads[d]
         if u == x:
-            key = (w.values.dart_coeff(d), system.theta_dart(d))
+            key = (w.values.dart_coeff(d), theta_dart(system, d))
             assert key in cover.walks and cover.walks[key].length <= 1
 
 
@@ -200,7 +200,7 @@ def reference_tagged_walks(dual, w, system, depth):
     """
     nd = dual.num_darts
     weights = [w.values.dart_coeff(d) for d in range(nd)]
-    thetas = [system.theta_dart(d) for d in range(nd)]
+    thetas = [theta_dart(system, d) for d in range(nd)]
     zero = (0,) * (2 * system.genus)
     best = {(0, zero): ()}
     states = []
@@ -323,3 +323,30 @@ def test_walk_mass_is_the_chain_size(corpus_contexts):
             assert walk.chain == IntegerChain.of_walk(m, walk.darts)
             both_ways += any(d ^ 1 in walk.darts for d in walk.darts)
     assert both_ways
+
+
+def test_index_is_the_walks_sorted_by_mass_then_tag(corpus_contexts):
+    # by_mass, restated from the decoded table: the walks of nonzero mass in
+    # (mass, tag) order, each entry's k its tag's weight and its packed v
+    # sum v_j R**(2g - j) with R = 2 (g + 1) depth_cap + 1, and per packed v
+    # the ascending indices of its entries.  The corpus is read at depth m,
+    # the seeded draws at the differential test's depths.
+    tables = [ctx.cover for ctx in corpus_contexts.values()]
+    for g, second in (*DIFFERENTIAL_GRAPHS["genus2"](), *DIFFERENTIAL_GRAPHS["genus3"]()):
+        ctx = SolveContext(g)
+        for depth in (solver_depth(ctx), second):
+            tables.append(shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth))
+    for cover in tables:
+        radix = 2 * (cover.genus + 1) * cover.depth_cap + 1
+        entries, by_v, chains = cover.by_mass
+        tags = [cover.tag(q) for _, q, _, _, _, _ in entries]
+        want = sorted((mass, tag) for tag, w in cover.walks.items() if (mass := walk_mass(w.darts)))
+        assert [(entry[0], tag) for entry, tag in zip(entries, tags)] == want
+        for (_, q, k, v, length, darts), (tk, tv) in zip(entries, tags):
+            assert (k, v) == (tk, sum(x * radix**j for j, x in enumerate(reversed(tv))))
+            assert darts == cover.walks[tk, tv].darts and length == len(darts)
+        same_v = {}
+        for i, entry in enumerate(entries):
+            same_v.setdefault(entry[3], []).append(i)
+        assert by_v == same_v
+        assert len(chains) == len(entries)

@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
+from walk_oracle import mirror_image
 
 from surfcut.construct import complete_edges, cycle_edges, find_embedding, random_tree
 from surfcut.embedding import (
@@ -9,7 +10,6 @@ from surfcut.embedding import (
     FaceStructure,
     format_embedding,
     genus,
-    mirror_image,
     parse_embedding,
     trace_faces,
 )

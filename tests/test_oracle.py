@@ -4,15 +4,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from walk_oracle import enumerate_closed_walks, min_tag_table, theta_dart
 
 from surfcut.balance import BalanceFunction, density, make_balance, parse_custom, quotient
 from surfcut.construct import cycle_edges, random_planar
 from surfcut.embedding import EmbeddedGraph
-from surfcut.oracle import (
-    brute_force_cut,
-    enumerate_closed_walks,
-    min_tag_table,
-)
+from surfcut.oracle import brute_force_cut
 from surfcut.solver import score_cut
 
 
@@ -223,7 +220,7 @@ def test_walk_tags_close_up(corpus_contexts):
         dg = ctx.dual
         assert dg.tails[darts[0]] == dg.heads[darts[-1]]
         assert k == sum(ctx.weight.values.dart_coeff(d) for d in darts)
-        assert v == tuple(map(sum, zip(*(ctx.loops.theta_dart(d) for d in darts))))
+        assert v == tuple(map(sum, zip(*(theta_dart(ctx.loops, d) for d in darts))))
 
 
 def test_min_tags_match_cover_table(corpus_contexts):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import random
@@ -8,13 +9,13 @@ from fractions import Fraction
 
 import pytest
 from test_fuzz import seeded_multigraphs
+from walk_oracle import mirror_image
 
 from surfcut import embedding, homology, solver
 from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders, grid_torus, random_planar
 from surfcut.cover import CoverResult, TaggedWalk
 from surfcut.dual import IntegerChain, cut_chain
-from surfcut.embedding import mirror_image
 from surfcut.homology import build_weight
 from surfcut.oracle import brute_force_cut
 from surfcut.solver import (
@@ -114,19 +115,41 @@ def test_combine_without_a_cancelling_sum_returns_none(corpus_contexts):
     ctx = corpus_contexts["k4_torus"]
     # the index of ctx.cover is built first; a replaced table must not inherit it
     assert ctx.cover.by_mass[0]
-    empty = dataclasses.replace(ctx.cover, walks={})
+    empty = dataclasses.replace(ctx.cover, darts={})
     assert combine_and_minimize(empty, ctx.loops, quotient(), ctx.g.n, ctx.g.m, ctx.g.m) is None
+
+
+def packed_table(walks, n, m, genus, depth):
+    """A walk table of `walks`, tag -> darts, with each tag packed as the cover
+    packs it: digits k + depth (n - 1), then v_1 + depth ... v_2g + depth, the
+    v digits in radix 2 (genus + 1) depth + 1."""
+    radix = 2 * (genus + 1) * depth + 1
+
+    def pack(k, v):
+        q = k + depth * (n - 1)
+        for x in v:
+            q = q * radix + x + depth
+        return q
+
+    darts = {pack(k, v): d for (k, v), d in sorted(walks.items())}
+    table = CoverResult(
+        darts=darts, n=n, m=m, genus=genus, depth_cap=depth, state_space_bound=0, states_per_start=(0,)
+    )
+    assert table.walks == {tag: TaggedWalk(d, m) for tag, d in sorted(walks.items())}
+    return table
 
 
 def test_packed_crossing_vectors_do_not_carry(corpus_contexts):
     # two one-dart walks of a genus-2 depth-1 table: twice the first plus the
-    # second crosses the loops (3, -1, 0, 0) times, which a radix of
-    # 2 * depth + 1 = 3 would pack to 0, passing it as a cancelling sum
+    # second crosses the loops (3, -1, 0, 0) times, and in the mirrored table
+    # (0, 0, -1, 3) times.  v_1 is the highest digit, so a radix of
+    # 2 * depth + 1 = 3 would pack the mirrored sum to 0, passing it as a
+    # cancelling sum
     ctx = corpus_contexts["series33_g2"]
-    m = ctx.g.m
-    walks = {(0, (1, 0, 0, 0)): TaggedWalk((0,), m), (1, (1, -1, 0, 0)): TaggedWalk((2,), m)}
-    table = CoverResult(walks=walks, depth_cap=1, state_space_bound=0, states_per_start=(0,))
-    assert combine_and_minimize(table, ctx.loops, quotient(), ctx.g.n, m, 1) is None
+    n, m = ctx.g.n, ctx.g.m
+    for first, second in (((1, 0, 0, 0), (1, -1, 0, 0)), ((0, 0, 0, 1), (0, 0, -1, 1))):
+        table = packed_table({(0, first): (0,), (1, second): (2,)}, n, m, 2, 1)
+        assert combine_and_minimize(table, ctx.loops, quotient(), n, m, 1) is None
 
 
 # genus-3 draws read at depth 2, name -> index in seeded_multigraphs(3, 8,
@@ -257,6 +280,23 @@ def test_solves_at_one_depth_share_one_table_and_index(corpus_graphs):
     assert {table.depth_cap for table in tables} == {6} and ctx.g.m == 10
     assert all(table is tables[0] for table in tables)
     assert all(table.by_mass is tables[0].by_mass for table in tables)
+    # combine reads packed tags and decodes only the walks it picks, so no
+    # solve builds the decoded table
+    assert "walks" not in vars(tables[0])
+
+
+def test_solves_leave_no_reference_cycles():
+    # everything a solve builds is freed by refcount, so with the collector
+    # off nothing is left for it to find
+    graphs = [random_planar(16, 2, s) for s in range(5)] + [grid_torus(3, 4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            SolveContext(g).solve(quotient())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["star5", "apollonian9_del"])
@@ -284,7 +324,7 @@ def test_one_table_and_index_across_depths(name, corpus_graphs, monkeypatch):
 def test_solver_errors_name_the_instance(corpus_graphs, monkeypatch):
     build = solver.shortest_tagged_walks
     monkeypatch.setattr(
-        solver, "shortest_tagged_walks", lambda *args: dataclasses.replace(build(*args), walks={})
+        solver, "shortest_tagged_walks", lambda *args: dataclasses.replace(build(*args), darts={})
     )
     with pytest.raises(SolverError) as err:
         SolveContext(corpus_graphs["k4_torus"]).solve(quotient())
