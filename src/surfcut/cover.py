@@ -47,9 +47,9 @@ the 2 D + 1 the box needs, so that the v part of q, less its offsets, is
 the crossing vector packed as an int in which the sum of at most g + 1
 walks never carries.  CoverResult.by_mass reads k and that packed v off q
 by integer arithmetic, orders the walks by chain size, which walk_mass
-counts from the darts, in buckets filled in q order, and holds a chain
-slot per walk, filled the first time a sum uses that walk.  Only the dump,
-the tests and the walks a solve picks decode q into its tag.
+counts from the darts, in buckets filled in q order, and holds a slot per
+walk for its chain coefficients, filled when a sum first uses the walk.
+Only the dump, the tests and the walks a solve picks decode q into its tag.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class CoverResult:
     def by_mass(self) -> tuple[list, dict[int, list[int]], list]:
         """The nonzero walks as (walk_mass, q, k, packed v, length, darts),
         sorted by mass then q; for each packed v the ascending indices of
-        its entries; and a chain slot per entry, None until combine fills it.
+        its entries; and per entry a slot combine fills with the walk's chain coefficients.
 
         q orders like the tag and tags are unique, so the entries of the
         walks within any depth come in the same order as in a table built to

@@ -18,6 +18,14 @@ from dataclasses import dataclass, field
 from surfcut.embedding import EmbeddedGraph, FaceStructure
 
 
+def walk_coeffs(m: int, darts: tuple[int, ...]) -> tuple[int, ...]:
+    """A walk's chain on m edges: per edge i, its darts 2i less its darts 2i + 1."""
+    c = [0] * m
+    for d in darts:
+        c[d >> 1] += 1 - ((d & 1) << 1)
+    return tuple(c)
+
+
 @dataclass(frozen=True, slots=True)
 class IntegerChain:
     """An antisymmetric integer labelling of darts, one coefficient per edge.
@@ -36,10 +44,7 @@ class IntegerChain:
 
     @classmethod
     def of_walk(cls, m: int, darts: tuple[int, ...]) -> "IntegerChain":
-        c = [0] * m
-        for d in darts:
-            c[d >> 1] += 1 - ((d & 1) << 1)
-        return cls(coeffs=tuple(c))
+        return cls(coeffs=walk_coeffs(m, darts))
 
     def dart_coeff(self, d: int) -> int:
         c = self.coeffs[d >> 1]
@@ -52,9 +57,6 @@ class IntegerChain:
     @property
     def is_zero(self) -> bool:
         return self.size == 0
-
-    def __add__(self, other: "IntegerChain") -> "IntegerChain":
-        return IntegerChain(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
 
 
 def build_dual(g: EmbeddedGraph, faces: FaceStructure) -> EmbeddedGraph:

@@ -18,13 +18,13 @@ floor(best * F) for the best value found so far, with the last walk of each
 sum looked up by the crossing vector that cancels the rest.  The table
 keys each walk by its tag packed into one int, and the crossing-vector part
 of that int sums over g + 1 walks without carries, so summing crossing
-vectors is adding ints; a walk's chain is built the first time a sum uses
-it, and only the tags of the walks picked are decoded.  The sorted list,
-its lookup and the chains built do not depend on f, so each walk table
-holds them once, and the solves that read one table share them.  The best
-chain becomes a vertex cut by thresholding a potential function, which can
-only improve the score.  The two values must agree at the optimum, and the
-cut must score no worse than U; the solver checks both.
+vectors is adding ints; sums are coefficient tuples scored in integers,
+and only the winner becomes a Fraction and an IntegerChain.  The sorted
+list, its lookup and the walk coefficients do not depend on f, so each
+walk table holds them once, and the solves that read one table share them.
+The best chain becomes a vertex cut by thresholding a potential function,
+which can only improve the score.  The two values must agree at the
+optimum, and the cut must score no worse than U; the solver checks both.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor
+from operator import add
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, shortest_tagged_walks
-from surfcut.dual import IntegerChain, build_dual, cut_chain
+from surfcut.dual import IntegerChain, build_dual, cut_chain, walk_coeffs
 from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
 from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight
 
@@ -216,77 +217,84 @@ def combine_and_minimize(
 
     With F = balance_peak(f, n), an optimal cut chain splits into circuits
     of total size at most OPT * F <= best * F for the best value found so
-    far, and at most m.  So only multisets of walks whose chain sizes (their
-    mass) sum to at most limit = min(m, floor(best * F)) are scanned, and
-    the limit tightens as best improves.  The walks are read from the
-    table's `by_mass` index, sorted by mass once per table object rather
-    than once per call, and each multiset is taken once, as a nondecreasing
-    index sequence into it.  A slot that has `left` slots still to fill
-    stops at the first walk with mass + its mass * left > limit: every
-    later walk weighs at least as much, so this prune is exact.  It is
-    strict, so chains tied at the best value are still scanned.  Past that
-    test a walk longer than `depth` darts is skipped, so a deeper table
-    scans the walks of the depth-`depth` table in the same order and gives
-    the same result, candidate count included.  Each entry carries its
-    weight k and its crossing vector packed into an int, both read off the
-    table's packed tag, and the last slot must cancel the sum so far, so it
-    reads only the walks whose int is its negative.  A walk's chain is built
-    when a candidate first sums it and kept in the index's slot, and
-    walks_used decodes the tags of the walks picked.  Ties break on value,
-    then chain size, then chain coefficients.
-    None when no sum of walks within `depth` has cancelling crossings and a
-    proper balance.
+    far, and a usable walk has mass at most its length, at most `depth`.
+    So only multisets of walks whose masses sum to at most limit = min(m,
+    (genus + 1) * depth, floor(best * F)) are scanned, and the limit
+    tightens as best improves.  The walks are read from the table's
+    `by_mass` index, sorted by mass once per table object, and each multiset
+    is taken once, as a nondecreasing index sequence into it.  A slot that
+    has `left` slots still to fill stops at the first walk with mass + its
+    mass * left > limit: every later walk weighs at least as much, so this
+    prune is exact.  It is strict, so chains tied at the best value are
+    still scanned.  Past that test a walk longer than `depth` darts is
+    skipped, so a deeper table scans the walks of the depth-`depth` table in
+    the same order and gives the same result, candidate count included.
+    Each entry carries its weight k and its crossing vector packed into an
+    int, read off the table's packed tag, and the last slot reads only the
+    walks whose int cancels the sum so far.  A sum is a tuple of chain
+    coefficients, a walk's built when a sum first uses it and kept in the
+    index's slot; a one-walk sum's size is its mass, and it reads them only
+    when it ties or beats the best value.  Values compare in integers:
+    f(|k|/n) as a numerator and a denominator, evaluated when a candidate
+    first reaches |k|, against the best value top / bottom, first 1 / 0.
+    Ties break on value, then chain size, then chain coefficients.  Only the
+    winner becomes a Fraction and an IntegerChain, and walks_used decodes
+    the tags of its walks.  None when no sum of walks within `depth` has
+    cancelling crossings and a proper balance.
     """
-    entries, by_v, chains = cover.by_mass
+    entries, by_v, slots = cover.by_mass
 
-    fcache: dict[int, Fraction] = {}
+    def coeffs_at(i: int) -> tuple[int, ...]:
+        if slots[i] is None:
+            slots[i] = walk_coeffs(m, entries[i][5])
+        return slots[i]
 
-    def fval(k: int) -> Fraction:
-        if k not in fcache:
-            fcache[k] = f(Fraction(k, n))
-        return fcache[k]
-
-    def chain_at(i: int) -> IntegerChain:
-        chain = chains[i]
-        if chain is None:
-            chain = chains[i] = IntegerChain.of_walk(m, entries[i][5])
-        return chain
-
-    peak = balance_peak(f, n)
-    best: tuple | None = None
-    limit = m
+    peak_num, peak_den = balance_peak(f, n).as_integer_ratio()
+    # f(a / n) as (numerator, denominator), None until a candidate reaches |k| = a
+    f_at = [None] * n
+    top, bottom, best = 1, 0, (0, (), ())
+    limit = min(m, (system.genus + 1) * depth)
     candidates = 0
-
-    def consider(picked: tuple[int, ...], k: int):
-        nonlocal best, candidates, limit
-        candidates += 1
-        chain = chain_at(picked[0])
-        for i in picked[1:]:
-            chain = chain + chain_at(i)
-        value = Fraction(chain.size) / fval(abs(k))
-        key = (value, chain.size, chain.coeffs)
-        if best is None or key < best[0]:
-            best = (key, chain, picked)
-            limit = min(m, floor(value * peak))
 
     def extend(picked: tuple[int, ...], left: int, k: int, v: int, mass: int):
         """Fill `left` more slots with entries at indices >= the last one picked."""
+        nonlocal top, bottom, best, limit, candidates
         start = picked[-1] if picked else 0
-        if left == 1:
-            same = by_v.get(-v, ())
-            for i in same[bisect_left(same, start):]:
-                emass, _, ek, _, length, _ = entries[i]
-                if mass + emass > limit:
+        if left > 1:
+            for i in range(start, len(entries)):
+                emass, _, ek, ev, length, _ = entries[i]
+                if mass + emass * left > limit:
                     break
-                if length <= depth and 1 <= abs(k + ek) <= n - 1:
-                    consider(picked + (i,), k + ek)
+                if length <= depth:
+                    extend(picked + (i,), left - 1, k + ek, v + ev, mass + emass)
             return
-        for i in range(start, len(entries)):
-            emass, _, ek, ev, length, _ = entries[i]
-            if mass + emass * left > limit:
+        same = by_v.get(-v, ())
+        partial = None
+        for i in same[bisect_left(same, start):]:
+            emass, _, ek, _, length, _ = entries[i]
+            if mass + emass > limit:
                 break
-            if length <= depth:
-                extend(picked + (i,), left - 1, k + ek, v + ev, mass + emass)
+            a = abs(k + ek)
+            if length > depth or not 1 <= a <= n - 1:
+                continue
+            candidates += 1
+            if f_at[a] is None:
+                f_at[a] = f(Fraction(a, n)).as_integer_ratio()
+            num, den = f_at[a]
+            coeffs, size = None, emass
+            if picked:
+                if partial is None:
+                    partial = tuple(map(sum, zip(*map(coeffs_at, picked))))
+                coeffs = tuple(map(add, partial, coeffs_at(i)))
+                size = sum(map(abs, coeffs))
+            # size / f(a / n) = size * den / num, against top / bottom
+            here, there = size * den * bottom, top * num
+            if here > there:
+                continue
+            coeffs = coeffs or coeffs_at(i)
+            if here < there or (size, coeffs) < best[:2]:
+                top, bottom, best = size * den, num, (size, coeffs, picked + (i,))
+                limit = min(limit, top * peak_num // (bottom * peak_den))
 
     for r in range(1, system.genus + 2):
         extend((), r, 0, 0, 0)
@@ -294,12 +302,12 @@ def combine_and_minimize(
     # scan's closures and state go by refcount, not by the cyclic collector
     extend = None
 
-    if best is None:
+    if not bottom:
         return None
-    (value, _, _), sigma, picked = best
+    _, coeffs, picked = best
     return CombineResult(
-        sigma=sigma,
-        value=value,
+        sigma=IntegerChain(coeffs),
+        value=Fraction(top, bottom),
         walks_used=tuple(cover.tag(entries[i][1]) for i in picked),
         candidates=candidates,
     )

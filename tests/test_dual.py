@@ -9,7 +9,7 @@ from surfcut.construct import (
     find_embedding,
     random_planar,
 )
-from surfcut.dual import IntegerChain, build_dual, cut_chain
+from surfcut.dual import IntegerChain, build_dual, cut_chain, walk_coeffs
 from surfcut.embedding import genus, trace_faces
 
 
@@ -54,7 +54,7 @@ def test_single_vertex_cut_is_negative_face(g):
         c = cut_chain(g, {v})
         k = next(k for k, vv in face_vertex.items() if vv == v)
         face = IntegerChain.of_walk(dual.m, dfaces.facial_walks[k])
-        assert (c + face).is_zero
+        assert face.coeffs == tuple(-x for x in c.coeffs)
 
 
 @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}g{genus(g)}")
@@ -69,11 +69,10 @@ def test_double_dual_reverses_darts(g):
 
 def test_chain_algebra():
     a = IntegerChain((1, -2, 3))
-    b = IntegerChain((0, 2, -3))
-    assert (a + b).coeffs == (1, 0, 0)
     assert a.size == 6
-    assert not (a + b).is_zero
-    assert (a + IntegerChain((-1, 2, -3))).is_zero
+    assert not a.is_zero and IntegerChain((0, 0, 0)).is_zero
+    # a walk crosses edge 0 along dart 0, edge 1 twice against it, edge 2 along it
+    assert walk_coeffs(3, (0, 3, 3, 4)) == IntegerChain.of_walk(3, (0, 3, 3, 4)).coeffs == (1, -2, 1)
     assert a.dart_coeff(0) == 1 and a.dart_coeff(1) == -1
     assert a.dart_coeff(2) == -2 and a.dart_coeff(3) == 2
 
@@ -92,7 +91,7 @@ def test_cut_chain_values():
     # edges (0,1) and (2,3) stay inside, the four cross edges leave
     assert c.coeffs[0] == 0 and c.coeffs[5] == 0
     assert c.size == 4
-    assert (cut_chain(g, {2, 3}) + c).is_zero
+    assert cut_chain(g, {2, 3}).coeffs == tuple(-x for x in c.coeffs)
 
 
 def test_cut_chain_rejects_trivial_sides():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import gc
@@ -12,7 +13,7 @@ from test_fuzz import seeded_multigraphs
 from walk_oracle import mirror_image
 
 from surfcut import embedding, homology, solver
-from surfcut.balance import density, make_balance, parse_custom, quotient
+from surfcut.balance import BalanceFunction, density, make_balance, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders, grid_torus, random_planar
 from surfcut.cover import CoverResult, TaggedWalk
 from surfcut.dual import IntegerChain, cut_chain
@@ -152,6 +153,70 @@ def test_packed_crossing_vectors_do_not_carry(corpus_contexts):
         assert combine_and_minimize(table, ctx.loops, quotient(), n, m, 1) is None
 
 
+def test_combine_ties_go_to_the_smaller_chain_then_coefficients():
+    # quotient at n = 4 scores f(1/4) = 1/4 and f(2/4) = 1/2.  Each table has
+    # candidates tied on value; a later one must win exactly when its (size,
+    # coefficients) is smaller.  Cases: the walks, genus, depth, then the
+    # winner's tags, coefficients and value, and the candidate count
+    cases = [
+        # one dart at |k| = 1 (value 1 / (1/4) = 4) against two darts at |k| = 2
+        ({(1, ()): (0,), (2, ()): (2, 4)}, 0, 2, [(1, ())], (1, 0, 0, 0), 4, 2),
+        # one dart each at |k| = 1, the second scanned with the smaller coefficients
+        ({(-1, ()): (2,), (1, ()): (1,)}, 0, 1, [(1, ())], (-1, 0, 0, 0), 4, 2),
+        # four darts at |k| = 2 (value 8), then a two-walk sum of mass 4 that
+        # cancels on edge 0 to size 2 at |k| = 1 (value 8): the later sum wins
+        (
+            {(2, (0, 0)): (6, 8, 10, 12), (1, (1, 0)): (0, 2, 4), (0, (-1, 0)): (1,)},
+            1,
+            4,
+            [(0, (-1, 0)), (1, (1, 0))],
+            (0, 1, 1, 0, 0, 0, 0, 0),
+            8,
+            2,
+        ),
+        # a two-walk sum with the very chain of the one walk scanned first
+        # does not replace it
+        (
+            {(1, (0, 0)): (0, 2), (1, (1, 0)): (0,), (0, (-1, 0)): (2,)},
+            1,
+            2,
+            [(1, (0, 0))],
+            (1, 1, 0, 0),
+            8,
+            3,
+        ),
+    ]
+    for walks, genus, depth, used, coeffs, value, candidates in cases:
+        m = len(coeffs)
+        table = packed_table(walks, 4, m, genus, depth)
+        comb = combine_and_minimize(table, types.SimpleNamespace(genus=genus), quotient(), 4, m, depth)
+        assert (list(comb.walks_used), comb.sigma.coeffs, comb.value) == (used, coeffs, value)
+        assert comb.candidates == candidates
+
+
+def test_combine_evaluates_f_once_per_weight(corpus_contexts, monkeypatch):
+    # combine evaluates f(|k|/n) when a candidate first reaches |k| and keeps
+    # it, so no argument repeats but balance_peak's one at n // 2.  The
+    # planar ones here reach few of the n - 1 weights (star5 two of four), so
+    # f evaluated at every weight up front would show in the total.
+    names = ["star5", "tree7", "apollonian12_del", "k5_torus", "grid33_torus", "series33_g2"]
+    solves = [(corpus_contexts[name], f) for name in names for f in (quotient(), density(), CUSTOM)]
+    dets = [ctx.solve_detailed(f) for ctx, f in solves]
+    call = BalanceFunction.__call__
+    calls = []
+    monkeypatch.setattr(BalanceFunction, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    evaluated = weights = 0
+    for (ctx, f), det in zip(solves, dets):
+        n = ctx.g.n
+        calls.clear()
+        assert combine_and_minimize(det.cover, ctx.loops, f, n, ctx.g.m, det.depth) == det.combine
+        repeats = collections.Counter(calls) - collections.Counter([Fraction(n // 2, n)])
+        assert set(repeats.values()) <= {1}, (n, f.kind)
+        evaluated += len(set(calls))
+        weights += n - 1
+    assert evaluated < weights
+
+
 # genus-3 draws read at depth 2, name -> index in seeded_multigraphs(3, 8,
 # seed=3): the draws whose depth-2 tables keep the plain enumeration of up
 # to four walks under about a second
@@ -198,7 +263,8 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
             best = key if best is None else min(best, key)
     comb = combine_and_minimize(ctx.cover, ctx.loops, f, n, m, m)
     assert (comb.value, comb.sigma.coeffs, ctx.weight.values.dot(comb.sigma)) == (best[0], best[2], best[3])
-    # the mass limit floor(best * F) starts at m and never drops below floor(OPT * F)
+    # the mass limit starts at min(m, (genus + 1) * depth), here m, and never
+    # drops below floor(OPT * F)
     floor_limit = math.floor(best[0] * balance_peak(f, n))
     assert sum(1 for x in masses if x <= floor_limit) <= comb.candidates <= len(masses)
 

@@ -18,6 +18,7 @@ from test_fuzz import seeded_multigraphs
 from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import find_embedding, grid_torus, random_planar
 from surfcut.cover import shortest_tagged_walks
+from surfcut.dual import IntegerChain
 from surfcut.solver import SolveContext, combine_and_minimize, recover_cut
 
 CUSTOM = parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")
@@ -72,9 +73,7 @@ def unbounded_best(cover, genus: int, f, n: int, m: int):
                 if mass + size > m:
                     return
                 if 1 <= abs(k + wk) <= n - 1:
-                    chain = walks[i][3]
-                    for j in picked:
-                        chain = chain + walks[j][3]
+                    chain = IntegerChain(tuple(map(sum, zip(*(walks[j][3].coeffs for j in (*picked, i))))))
                     key = (Fraction(chain.size) / f(Fraction(abs(k + wk), n)), chain.size, chain.coeffs)
                     if best is None or key < best[:3]:
                         best = (*key, chain)
