@@ -9,8 +9,8 @@ BFS balls grown from every vertex (the first k vertices of a BFS, which
 include the single vertices) and the subtree sides of the weight tree seed
 the best known side of each size, and single-vertex moves improve those
 sides until no size's cut falls.  These fewest cut edges per side size
-depend only on the graph and are found once per context, so U costs one f
-call per side size up to n/2, and U is a real cut's value, so U >= OPT.
+depend only on the graph and are found once per context, and U >= OPT, as
+U is a real cut's value.  U, F and combine read one table of f per solve.
 The solve reads the walk table only to depth D = min(m, floor(U * F)), and
 scans sums of at most genus+1 tagged walks whose crossing vectors cancel:
 one pass over the walks sorted by chain mass, cut off where the mass passes
@@ -33,7 +33,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
 from operator import add
 
 from surfcut.balance import BalanceFunction
@@ -88,9 +87,14 @@ def score_cut(g: EmbeddedGraph, S, f: BalanceFunction) -> CutResult:
 def balance_peak(f: BalanceFunction, n: int) -> Fraction:
     """F = max f(k/n) over k = 1 .. n-1: a cut of value v has at most v * F edges.
 
-    f is symmetric and nondecreasing on [0, 1/2], so the peak is at k = n // 2.
-    """
+    f is symmetric and nondecreasing on [0, 1/2], so the peak is at k = n // 2."""
     return f(Fraction(n // 2, n))
+
+
+def balance_table(f: BalanceFunction, n: int) -> list[tuple[int, int] | None]:
+    """f(a/n) = f(1 - a/n) as (numerator, denominator) at index a = 1 .. n-1; F is at n // 2."""
+    half = [f(Fraction(a, n)).as_integer_ratio() for a in range(1, n // 2 + 1)]
+    return [None, *half, *reversed(half[: (n - 1) // 2])]
 
 
 def fewest_cut_edges(g: EmbeddedGraph, w: WeightFunction) -> dict[int, tuple[int, int]]:
@@ -211,11 +215,11 @@ class CombineResult:
 
 
 def combine_and_minimize(
-    cover: CoverResult, system: LoopSystem, f: BalanceFunction, n: int, m: int, depth: int
+    cover: CoverResult, system: LoopSystem, f: list[tuple[int, int] | None], n: int, m: int, depth: int
 ) -> CombineResult | None:
     """Scan sums of at most genus+1 tagged walks with cancelling crossings.
 
-    With F = balance_peak(f, n), an optimal cut chain splits into circuits
+    With F = f[n // 2], the peak, an optimal cut chain splits into circuits
     of total size at most OPT * F <= best * F for the best value found so
     far, and a usable walk has mass at most its length, at most `depth`.
     So only multisets of walks whose masses sum to at most limit = min(m,
@@ -235,8 +239,8 @@ def combine_and_minimize(
     coefficients, a walk's built when a sum first uses it and kept in the
     index's slot; a one-walk sum's size is its mass, and it reads them only
     when it ties or beats the best value.  Values compare in integers:
-    f(|k|/n) as a numerator and a denominator, evaluated when a candidate
-    first reaches |k|, against the best value top / bottom, first 1 / 0.
+    f(|k|/n) as a numerator and a denominator, read off the table f =
+    balance_table(f, n), against the best value top / bottom, first 1 / 0.
     Ties break on value, then chain size, then chain coefficients.  Only the
     winner becomes a Fraction and an IntegerChain, and walks_used decodes
     the tags of its walks.  None when no sum of walks within `depth` has
@@ -249,9 +253,7 @@ def combine_and_minimize(
             slots[i] = walk_coeffs(m, entries[i][5])
         return slots[i]
 
-    peak_num, peak_den = balance_peak(f, n).as_integer_ratio()
-    # f(a / n) as (numerator, denominator), None until a candidate reaches |k| = a
-    f_at = [None] * n
+    peak_num, peak_den = f[n // 2]
     top, bottom, best = 1, 0, (0, (), ())
     limit = min(m, (system.genus + 1) * depth)
     candidates = 0
@@ -278,9 +280,7 @@ def combine_and_minimize(
             if length > depth or not 1 <= a <= n - 1:
                 continue
             candidates += 1
-            if f_at[a] is None:
-                f_at[a] = f(Fraction(a, n)).as_integer_ratio()
-            num, den = f_at[a]
+            num, den = f[a]
             coeffs, size = None, emass
             if picked:
                 if partial is None:
@@ -407,10 +407,9 @@ class SolveContext:
     def fewest_cut_edges(self) -> dict[int, tuple[int, int]]:
         return fewest_cut_edges(self.g, self.weight)
 
-    def upper_bound(self, f: BalanceFunction) -> Fraction:
-        """U for f, from the cached fewest cut edges: one f call per side size."""
-        n = self.g.n
-        return min(Fraction(cut) / f(Fraction(k, n)) for k, (cut, _) in self.fewest_cut_edges.items())
+    def upper_bound(self, table: list[tuple[int, int] | None]) -> Fraction:
+        """U, the least cut / f(k/n) over the cached fewest cut edges, read off balance_table(f, n)."""
+        return min(Fraction(cut * table[k][1], table[k][0]) for k, (cut, _) in self.fewest_cut_edges.items())
 
     def walk_table(self, depth: int) -> CoverResult:
         """The context's walk table, first built to `depth` if it is shallower."""
@@ -426,10 +425,11 @@ class SolveContext:
     def solve_detailed(self, f: BalanceFunction) -> SolveDetails:
         n, m = self.g.n, self.g.m
         try:
-            bound = self.upper_bound(f)
-            depth = min(m, floor(bound * balance_peak(f, n)))
+            table = balance_table(f, n)
+            bound, (peak_num, peak_den) = self.upper_bound(table), table[n // 2]
+            depth = min(m, bound.numerator * peak_num // (bound.denominator * peak_den))
             cover = self.walk_table(depth)
-            comb = combine_and_minimize(cover, self.loops, f, n, m, depth)
+            comb = combine_and_minimize(cover, self.loops, table, n, m, depth)
             if comb is None:
                 raise SolverError("no null-homologous combination found; walk table is incomplete")
             if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):

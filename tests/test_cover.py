@@ -15,7 +15,7 @@ from surfcut.cover import dump_walks, shortest_tagged_walks, walk_mass
 from surfcut.dual import IntegerChain, build_dual
 from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
-from surfcut.solver import SolveContext, balance_peak
+from surfcut.solver import SolveContext, balance_peak, balance_table
 
 # sha256 of dump_walks(ctx.cover) per corpus instance, in manifest order; the
 # full walk table does not depend on the balance function
@@ -239,7 +239,7 @@ def reference_tagged_walks(dual, w, system, depth):
 def solver_depth(ctx):
     """The depth D a quotient solve reads the walk table to."""
     f = quotient()
-    return min(ctx.g.m, floor(ctx.upper_bound(f) * balance_peak(f, ctx.g.n)))
+    return min(ctx.g.m, floor(ctx.upper_bound(balance_table(f, ctx.g.n)) * balance_peak(f, ctx.g.n)))
 
 
 # (graph, second depth): each graph is compared at its solve depth D and at

@@ -56,7 +56,8 @@ def test_counted_fields_exist(corpus_contexts):
     for walk in cover.walks.values():
         assert hasattr(walk, "length")
         assert hasattr(walk.chain, "is_zero") and hasattr(walk.chain, "size")
-    comb = solver.combine_and_minimize(cover, ctx.loops, f, ctx.g.n, ctx.g.m, ctx.g.m)
+    table = solver.balance_table(f, ctx.g.n)
+    comb = solver.combine_and_minimize(cover, ctx.loops, table, ctx.g.n, ctx.g.m, ctx.g.m)
     assert hasattr(comb, "candidates")
     report = oracle.brute_force_cut(ctx.g, f)
     # the report keeps no per-side values, so the oracle.cuts counter,

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import functools
 import gc
@@ -23,6 +22,7 @@ from surfcut.solver import (
     SolveContext,
     SolverError,
     balance_peak,
+    balance_table,
     combine_and_minimize,
     recover_cut,
     score_cut,
@@ -104,7 +104,8 @@ def test_evaluate_chain_matches_cut_score(name, corpus_graphs, corpus_contexts):
 
 def test_combine_on_single_edge(corpus_contexts):
     ctx = corpus_contexts["k2"]
-    comb = combine_and_minimize(ctx.cover, ctx.loops, quotient(), ctx.g.n, ctx.g.m, ctx.g.m)
+    table = balance_table(quotient(), ctx.g.n)
+    comb = combine_and_minimize(ctx.cover, ctx.loops, table, ctx.g.n, ctx.g.m, ctx.g.m)
     assert comb.sigma.coeffs == (-1,)
     assert ctx.weight.values.dot(comb.sigma) == -1
     assert comb.value == Fraction(2)
@@ -117,7 +118,8 @@ def test_combine_without_a_cancelling_sum_returns_none(corpus_contexts):
     # the index of ctx.cover is built first; a replaced table must not inherit it
     assert ctx.cover.by_mass[0]
     empty = dataclasses.replace(ctx.cover, darts={})
-    assert combine_and_minimize(empty, ctx.loops, quotient(), ctx.g.n, ctx.g.m, ctx.g.m) is None
+    table = balance_table(quotient(), ctx.g.n)
+    assert combine_and_minimize(empty, ctx.loops, table, ctx.g.n, ctx.g.m, ctx.g.m) is None
 
 
 def packed_table(walks, n, m, genus, depth):
@@ -150,7 +152,7 @@ def test_packed_crossing_vectors_do_not_carry(corpus_contexts):
     n, m = ctx.g.n, ctx.g.m
     for first, second in (((1, 0, 0, 0), (1, -1, 0, 0)), ((0, 0, 0, 1), (0, 0, -1, 1))):
         table = packed_table({(0, first): (0,), (1, second): (2,)}, n, m, 2, 1)
-        assert combine_and_minimize(table, ctx.loops, quotient(), n, m, 1) is None
+        assert combine_and_minimize(table, ctx.loops, balance_table(quotient(), n), n, m, 1) is None
 
 
 def test_combine_ties_go_to_the_smaller_chain_then_coefficients():
@@ -189,32 +191,27 @@ def test_combine_ties_go_to_the_smaller_chain_then_coefficients():
     for walks, genus, depth, used, coeffs, value, candidates in cases:
         m = len(coeffs)
         table = packed_table(walks, 4, m, genus, depth)
-        comb = combine_and_minimize(table, types.SimpleNamespace(genus=genus), quotient(), 4, m, depth)
+        system = types.SimpleNamespace(genus=genus)
+        comb = combine_and_minimize(table, system, balance_table(quotient(), 4), 4, m, depth)
         assert (list(comb.walks_used), comb.sigma.coeffs, comb.value) == (used, coeffs, value)
         assert comb.candidates == candidates
 
 
-def test_combine_evaluates_f_once_per_weight(corpus_contexts, monkeypatch):
-    # combine evaluates f(|k|/n) when a candidate first reaches |k| and keeps
-    # it, so no argument repeats but balance_peak's one at n // 2.  The
-    # planar ones here reach few of the n - 1 weights (star5 two of four), so
-    # f evaluated at every weight up front would show in the total.
+def test_solve_evaluates_f_once_per_side_size(corpus_contexts, monkeypatch):
+    # a solve calls f at a / n for each a <= n // 2 to fill its balance table,
+    # which U, the depth D and combine all read, and score_cut calls it once
+    # more for the returned cut
     names = ["star5", "tree7", "apollonian12_del", "k5_torus", "grid33_torus", "series33_g2"]
-    solves = [(corpus_contexts[name], f) for name in names for f in (quotient(), density(), CUSTOM)]
-    dets = [ctx.solve_detailed(f) for ctx, f in solves]
     call = BalanceFunction.__call__
     calls = []
     monkeypatch.setattr(BalanceFunction, "__call__", lambda self, x: calls.append(x) or call(self, x))
-    evaluated = weights = 0
-    for (ctx, f), det in zip(solves, dets):
+    for name in names:
+        ctx = corpus_contexts[name]
         n = ctx.g.n
-        calls.clear()
-        assert combine_and_minimize(det.cover, ctx.loops, f, n, ctx.g.m, det.depth) == det.combine
-        repeats = collections.Counter(calls) - collections.Counter([Fraction(n // 2, n)])
-        assert set(repeats.values()) <= {1}, (n, f.kind)
-        evaluated += len(set(calls))
-        weights += n - 1
-    assert evaluated < weights
+        for f in (quotient(), density(), CUSTOM):
+            calls.clear()
+            ctx.solve_detailed(f)
+            assert len(calls) == n // 2 + 1, (name, f.kind, calls)
 
 
 # genus-3 draws read at depth 2, name -> index in seeded_multigraphs(3, 8,
@@ -261,7 +258,7 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
             chain = IntegerChain(tuple(map(sum, zip(*(w.chain.coeffs for _, w in picked)))))
             key = (Fraction(chain.size) / f(Fraction(abs(k), n)), chain.size, chain.coeffs, k)
             best = key if best is None else min(best, key)
-    comb = combine_and_minimize(ctx.cover, ctx.loops, f, n, m, m)
+    comb = combine_and_minimize(ctx.cover, ctx.loops, balance_table(f, n), n, m, m)
     assert (comb.value, comb.sigma.coeffs, ctx.weight.values.dot(comb.sigma)) == (best[0], best[2], best[3])
     # the mass limit starts at min(m, (genus + 1) * depth), here m, and never
     # drops below floor(OPT * F)
@@ -483,7 +480,7 @@ def test_cut_upper_bound_scores_vertex_and_subtree_cuts(name, corpus_graphs):
     witnesses = [_side(S) for _, S in ctx.fewest_cut_edges.values()]
     for f in (quotient(), density(), CUSTOM):
         seed_best = min(score_cut(g, S, f).value for S in seeds)
-        U = ctx.upper_bound(f)
+        U = ctx.upper_bound(balance_table(f, g.n))
         assert U <= seed_best
         assert U == min(score_cut(g, S, f).value for S in witnesses)
         assert brute_force_cut(g, f, cap=g.n).best.value <= U
@@ -560,3 +557,8 @@ def test_balance_peak_is_the_largest_value():
     for f in (quotient(), density(), CUSTOM, parse_custom("0 0\n1/10 1/2\n")):
         for n in range(2, 21):
             assert balance_peak(f, n) == max(f(Fraction(k, n)) for k in range(1, n))
+            # every entry: at odd n the two middle entries share a value, at even n one is its own mirror
+            table = balance_table(f, n)
+            assert len(table) == n and table[0] is None
+            assert table[1:] == [f(Fraction(a, n)).as_integer_ratio() for a in range(1, n)], (f.kind, n)
+            assert Fraction(*table[n // 2]) == balance_peak(f, n)

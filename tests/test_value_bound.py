@@ -8,6 +8,7 @@ walks of the full table that have at most D darts; and combine must give
 the same result at depth D on any table at least that deep.
 """
 
+import math
 import random
 from fractions import Fraction
 from operator import add
@@ -19,7 +20,7 @@ from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import find_embedding, grid_torus, random_planar
 from surfcut.cover import shortest_tagged_walks
 from surfcut.dual import IntegerChain
-from surfcut.solver import SolveContext, combine_and_minimize, recover_cut
+from surfcut.solver import SolveContext, balance_peak, balance_table, combine_and_minimize, recover_cut
 
 CUSTOM = parse_custom("0 0\n1/4 1/3\n1/2 1/2\n")
 PROFILES = {"quotient": quotient(), "density": density(), "custom": CUSTOM}
@@ -134,7 +135,7 @@ def test_deep_table_combines_as_a_table_built_to_each_depth(corpus_contexts):
         for depth in range(deep_depth + 1):
             fresh = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
             for label, f in PROFILES.items():
-                args = (ctx.loops, f, ctx.g.n, ctx.g.m, depth)
+                args = (ctx.loops, balance_table(f, ctx.g.n), ctx.g.n, ctx.g.m, depth)
                 want = combine_and_minimize(fresh, *args)
                 assert combine_and_minimize(deep, *args) == want, (ctx.g.n, ctx.g.m, depth, label)
                 checked += 1
@@ -149,6 +150,10 @@ def test_solve_order_does_not_change_results(corpus_graphs):
 
     def outcome(ctx, f):
         det = ctx.solve_detailed(f)
+        # D = floor(U * F), in integers; density's F has denominator n^2
+        n, m = ctx.g.n, ctx.g.m
+        U = min(Fraction(cut) / f(Fraction(k, n)) for k, (cut, _) in ctx.fewest_cut_edges.items())
+        assert det.depth == min(m, math.floor(U * balance_peak(f, n))), (n, m, f.kind)
         return det.result, det.combine
 
     for name, g in corpus_graphs.items():
