@@ -26,7 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from surfcut.balance import make_balance
 from surfcut.embedding import parse_embedding
 from surfcut.oracle import brute_force_cut
-from surfcut.solver import SolveContext, balance_peak
+from surfcut.solver import SolveContext, balance_table
 
 
 def frac(x: Fraction) -> str:
@@ -65,7 +65,7 @@ def main():
                     sys.exit(f"MISMATCH on {item['name']} ({spec}): {r.value} vs {want}")
             values.append(frac(r.value))
             depth = max(depth, det.depth)
-            ideal = max(ideal, min(g.m, floor(r.value * balance_peak(f, g.n))))
+            ideal = max(ideal, min(g.m, floor(r.value * Fraction(*balance_table(f, g.n)[g.n // 2]))))
         sum_depth += depth
         sum_ideal += ideal
         # the context keeps one table, built to the deepest solve's depth

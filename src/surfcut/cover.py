@@ -45,11 +45,11 @@ The table keeps each walk's darts under its q and is never decoded on the
 way to combine.  The v digits use radix R = 2 (g + 1) D + 1 rather than
 the 2 D + 1 the box needs, so that the v part of q, less its offsets, is
 the crossing vector packed as an int in which the sum of at most g + 1
-walks never carries.  CoverResult.by_mass reads k and that packed v off q
-by integer arithmetic, orders the walks by chain size, which walk_mass
-counts from the darts, in buckets filled in q order, and holds a slot per
-walk for its chain coefficients, filled when a sum first uses the walk.
-Only the dump, the tests and the walks a solve picks decode q into its tag.
+walks never carries.  CoverResult.by_length reads k and that packed v off
+q by integer arithmetic, orders the walks by length in buckets filled in q
+order, and holds a slot per walk for its chain coefficients, filled when a
+sum first uses the walk.  Only the dump, the tests and the walks a solve
+picks decode q into its tag.
 """
 
 from __future__ import annotations
@@ -61,19 +61,6 @@ from operator import mul
 from surfcut.dual import IntegerChain
 from surfcut.embedding import EmbeddedGraph
 from surfcut.homology import LoopSystem, WeightFunction
-
-
-# the reverse of dart d is d ^ 1
-_twin = (1).__xor__
-
-
-def walk_mass(darts: tuple[int, ...]) -> int:
-    """The size of a walk's chain: one per dart, less two for each pair of
-    opposite crossings of one edge, so len(darts) if there are none."""
-    once = set(darts)
-    if once.isdisjoint(map(_twin, once)):
-        return len(darts)
-    return len(darts) - sum(min(darts.count(d), darts.count(d ^ 1)) for d in once if d ^ 1 in once)
 
 
 def tag_layout(n: int, genus: int, depth: int) -> tuple[int, int, int, int]:
@@ -89,7 +76,7 @@ def tag_layout(n: int, genus: int, depth: int) -> tuple[int, int, int, int]:
 class TaggedWalk:
     """A closed dual walk of a graph with m edges; its tag (k, v) is its table key.
 
-    chain is built anew on every read; combine keeps the ones it sums.
+    chain is built anew on every read; combine reads darts off the table, not this.
     """
 
     darts: tuple[int, ...]
@@ -120,7 +107,7 @@ class CoverResult:
     not), and state_space_bound is the size of the covering state space
     V' x [-K..K] x prod [-D..D] that bounds every run.
 
-    by_mass is the index the combine step reads, built on first read and
+    by_length is the index the combine step reads, built on first read and
     kept with the table object, so every solve that reads one table, at
     whatever depth, shares it; a `dataclasses.replace`d table is a new
     object and builds its own.
@@ -157,25 +144,24 @@ class CoverResult:
         return {self.tag(q): TaggedWalk(darts, self.m) for q, darts in self.darts.items()}
 
     @cached_property
-    def by_mass(self) -> tuple[list, dict[int, list[int]], list]:
-        """The nonzero walks as (walk_mass, q, k, packed v, length, darts),
-        sorted by mass then q; for each packed v the ascending indices of
-        its entries; and per entry a slot combine fills with the walk's chain coefficients.
+    def by_length(self) -> tuple[list, dict[int, list[int]], list]:
+        """The nonempty walks as (length, q, k, packed v, darts), sorted by
+        length then q; for each packed v the ascending indices of its
+        entries; and per entry a slot combine fills with the walk's chain coefficients.
 
         q orders like the tag and tags are unique, so the entries of the
-        walks within any depth come in the same order as in a table built to
-        that depth.  The packed v is the v part of q less its offsets, sum
-        v_j R**(2g - j): a walk has |v_j| <= depth_cap, so a sum of at most
-        g + 1 walks has digits below R / 2, no carry, and packs to 0 only
-        when its v is 0.
+        walks within any depth are the first ones, in the same order as in a
+        table built to that depth.  The packed v is the v part of q less its
+        offsets, sum v_j R**(2g - j): a walk has |v_j| <= depth_cap, so a sum
+        of at most g + 1 walks has digits below R / 2, no carry, and packs to
+        0 only when its v is 0.
         """
         _, place, k_offset, v_offset = self._layout
         buckets: list[list] = [[] for _ in range(self.depth_cap + 1)]
         for q, darts in self.darts.items():
-            mass = walk_mass(darts)
-            if mass:
+            if darts:
                 k, v = divmod(q, place)
-                buckets[mass].append((mass, q, k - k_offset, v - v_offset, len(darts), darts))
+                buckets[len(darts)].append((len(darts), q, k - k_offset, v - v_offset, darts))
         entries = [entry for bucket in buckets for entry in bucket]
         by_v: dict[int, list[int]] = {}
         for i, entry in enumerate(entries):

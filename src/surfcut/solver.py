@@ -13,7 +13,7 @@ depend only on the graph and are found once per context, and U >= OPT, as
 U is a real cut's value.  U, F and combine read one table of f per solve.
 The solve reads the walk table only to depth D = min(m, floor(U * F)), and
 scans sums of at most genus+1 tagged walks whose crossing vectors cancel:
-one pass over the walks sorted by chain mass, cut off where the mass passes
+one pass over the walks sorted by length, cut off where the length passes
 floor(best * F) for the best value found so far, with the last walk of each
 sum looked up by the crossing vector that cancels the rest.  The table
 keys each walk by its tag packed into one int, and the crossing-vector part
@@ -84,15 +84,12 @@ def score_cut(g: EmbeddedGraph, S, f: BalanceFunction) -> CutResult:
     )
 
 
-def balance_peak(f: BalanceFunction, n: int) -> Fraction:
-    """F = max f(k/n) over k = 1 .. n-1: a cut of value v has at most v * F edges.
-
-    f is symmetric and nondecreasing on [0, 1/2], so the peak is at k = n // 2."""
-    return f(Fraction(n // 2, n))
-
-
 def balance_table(f: BalanceFunction, n: int) -> list[tuple[int, int] | None]:
-    """f(a/n) = f(1 - a/n) as (numerator, denominator) at index a = 1 .. n-1; F is at n // 2."""
+    """f(a/n) = f(1 - a/n) as (numerator, denominator) at index a = 1 .. n-1.
+
+    f is symmetric and nondecreasing on [0, 1/2], so the entry at n // 2 is
+    the peak F = max f(k/n) over k = 1 .. n-1: a cut of value v has at most
+    v * F edges."""
     half = [f(Fraction(a, n)).as_integer_ratio() for a in range(1, n // 2 + 1)]
     return [None, *half, *reversed(half[: (n - 1) // 2])]
 
@@ -221,77 +218,76 @@ def combine_and_minimize(
 
     With F = f[n // 2], the peak, an optimal cut chain splits into circuits
     of total size at most OPT * F <= best * F for the best value found so
-    far, and a usable walk has mass at most its length, at most `depth`.
-    So only multisets of walks whose masses sum to at most limit = min(m,
-    (genus + 1) * depth, floor(best * F)) are scanned, and the limit
-    tightens as best improves.  The walks are read from the table's
-    `by_mass` index, sorted by mass once per table object, and each multiset
-    is taken once, as a nondecreasing index sequence into it.  A slot that
-    has `left` slots still to fill stops at the first walk with mass + its
-    mass * left > limit: every later walk weighs at least as much, so this
-    prune is exact.  It is strict, so chains tied at the best value are
-    still scanned.  Past that test a walk longer than `depth` darts is
-    skipped, so a deeper table scans the walks of the depth-`depth` table in
-    the same order and gives the same result, candidate count included.
+    far.  Their stored replacements, the walks with the same tags, are no
+    longer, so each has at most `depth` darts, together at most limit =
+    min(m, floor(best * F)), and their sum has a chain size at most its
+    length and so a value at most OPT.  So only multisets of walks of at
+    most `depth` darts whose lengths sum to at most the limit are scanned,
+    and the limit tightens as best improves.  The walks are read from the
+    table's `by_length` index, sorted by length once per table object, and
+    each multiset is taken once, as a nondecreasing index sequence into it.
+    A slot that has `left` slots still to fill stops at the first walk
+    longer than `depth` or with length + its length * left > limit: every
+    later walk is at least as long, so this prune is exact, and a deeper
+    table scans the walks of the depth-`depth` table in the same order and
+    gives the same result, candidate count included.  The prune is strict,
+    so chains tied at the best value are still scanned.
     Each entry carries its weight k and its crossing vector packed into an
     int, read off the table's packed tag, and the last slot reads only the
     walks whose int cancels the sum so far.  A sum is a tuple of chain
     coefficients, a walk's built when a sum first uses it and kept in the
-    index's slot; a one-walk sum's size is its mass, and it reads them only
-    when it ties or beats the best value.  Values compare in integers:
-    f(|k|/n) as a numerator and a denominator, read off the table f =
-    balance_table(f, n), against the best value top / bottom, first 1 / 0.
-    Ties break on value, then chain size, then chain coefficients.  Only the
-    winner becomes a Fraction and an IntegerChain, and walks_used decodes
-    the tags of its walks.  None when no sum of walks within `depth` has
-    cancelling crossings and a proper balance.
+    index's slot, and its size is the sum of their absolute values.  Values
+    compare in integers: f(|k|/n) as a numerator and a denominator, read
+    off the table f = balance_table(f, n), against the best value top /
+    bottom, first 1 / 0.  Ties break on value, then chain size, then chain
+    coefficients.  Only the winner becomes a Fraction and an IntegerChain,
+    and walks_used decodes the tags of its walks.  None when no sum of walks
+    within `depth` has cancelling crossings and a proper balance.
     """
-    entries, by_v, slots = cover.by_mass
+    entries, by_v, slots = cover.by_length
 
     def coeffs_at(i: int) -> tuple[int, ...]:
         if slots[i] is None:
-            slots[i] = walk_coeffs(m, entries[i][5])
+            slots[i] = walk_coeffs(m, entries[i][4])
         return slots[i]
 
     peak_num, peak_den = f[n // 2]
     top, bottom, best = 1, 0, (0, (), ())
-    limit = min(m, (system.genus + 1) * depth)
+    limit = m
     candidates = 0
 
-    def extend(picked: tuple[int, ...], left: int, k: int, v: int, mass: int):
+    def extend(picked: tuple[int, ...], left: int, k: int, v: int, length: int):
         """Fill `left` more slots with entries at indices >= the last one picked."""
         nonlocal top, bottom, best, limit, candidates
         start = picked[-1] if picked else 0
         if left > 1:
             for i in range(start, len(entries)):
-                emass, _, ek, ev, length, _ = entries[i]
-                if mass + emass * left > limit:
+                elength, _, ek, ev, _ = entries[i]
+                if elength > depth or length + elength * left > limit:
                     break
-                if length <= depth:
-                    extend(picked + (i,), left - 1, k + ek, v + ev, mass + emass)
+                extend(picked + (i,), left - 1, k + ek, v + ev, length + elength)
             return
         same = by_v.get(-v, ())
         partial = None
         for i in same[bisect_left(same, start):]:
-            emass, _, ek, _, length, _ = entries[i]
-            if mass + emass > limit:
+            elength, _, ek, _, _ = entries[i]
+            if elength > depth or length + elength > limit:
                 break
             a = abs(k + ek)
-            if length > depth or not 1 <= a <= n - 1:
+            if not 1 <= a <= n - 1:
                 continue
             candidates += 1
             num, den = f[a]
-            coeffs, size = None, emass
+            coeffs = coeffs_at(i)
             if picked:
                 if partial is None:
                     partial = tuple(map(sum, zip(*map(coeffs_at, picked))))
-                coeffs = tuple(map(add, partial, coeffs_at(i)))
-                size = sum(map(abs, coeffs))
+                coeffs = tuple(map(add, partial, coeffs))
+            size = sum(map(abs, coeffs))
             # size / f(a / n) = size * den / num, against top / bottom
             here, there = size * den * bottom, top * num
             if here > there:
                 continue
-            coeffs = coeffs or coeffs_at(i)
             if here < there or (size, coeffs) < best[:2]:
                 top, bottom, best = size * den, num, (size, coeffs, picked + (i,))
                 limit = min(limit, top * peak_num // (bottom * peak_den))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from math import floor
 from operator import add
 from pathlib import Path
@@ -11,11 +12,11 @@ from walk_oracle import enumerate_closed_walks, theta_dart
 
 from surfcut.balance import quotient
 from surfcut.construct import complete_edges, cycle_edges, find_embedding, grid_torus, random_planar
-from surfcut.cover import dump_walks, shortest_tagged_walks, walk_mass
+from surfcut.cover import dump_walks, shortest_tagged_walks
 from surfcut.dual import IntegerChain, build_dual
 from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
-from surfcut.solver import SolveContext, balance_peak, balance_table
+from surfcut.solver import SolveContext, balance_table
 
 # sha256 of dump_walks(ctx.cover) per corpus instance, in manifest order; the
 # full walk table does not depend on the balance function
@@ -238,8 +239,8 @@ def reference_tagged_walks(dual, w, system, depth):
 
 def solver_depth(ctx):
     """The depth D a quotient solve reads the walk table to."""
-    f = quotient()
-    return min(ctx.g.m, floor(ctx.upper_bound(balance_table(f, ctx.g.n)) * balance_peak(f, ctx.g.n)))
+    table = balance_table(quotient(), ctx.g.n)
+    return min(ctx.g.m, floor(ctx.upper_bound(table) * Fraction(*table[ctx.g.n // 2])))
 
 
 # (graph, second depth): each graph is compared at its solve depth D and at
@@ -308,26 +309,9 @@ def test_every_depth_is_the_deepest_table_restricted(corpus_contexts):
             assert list(cover.walks.items()) == within, (ctx.g.n, ctx.g.m, d)
 
 
-def test_walk_mass_is_the_chain_size(corpus_contexts):
-    # combine sorts on walk_mass and builds a walk's chain only when it sums
-    # it; the corpus is read at depth m, the seeded draws at the differential
-    # test's depths, where some walks cross an edge both ways
-    tables = [(ctx.g.m, ctx.cover) for ctx in corpus_contexts.values()]
-    for g, depth in (*DIFFERENTIAL_GRAPHS["genus2"](), *((g, 5) for g in seeded_multigraphs(3, 4, seed=3))):
-        ctx = SolveContext(g)
-        tables.append((g.m, shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)))
-    both_ways = 0
-    for m, cover in tables:
-        for walk in cover.walks.values():
-            assert walk_mass(walk.darts) == walk.chain.size
-            assert walk.chain == IntegerChain.of_walk(m, walk.darts)
-            both_ways += any(d ^ 1 in walk.darts for d in walk.darts)
-    assert both_ways
-
-
-def test_index_is_the_walks_sorted_by_mass_then_tag(corpus_contexts):
-    # by_mass, restated from the decoded table: the walks of nonzero mass in
-    # (mass, tag) order, each entry's k its tag's weight and its packed v
+def test_index_is_the_walks_sorted_by_length_then_tag(corpus_contexts):
+    # by_length, restated from the decoded table: the nonempty walks in
+    # (length, tag) order, each entry's k its tag's weight and its packed v
     # sum v_j R**(2g - j) with R = 2 (g + 1) depth_cap + 1, and per packed v
     # the ascending indices of its entries.  The corpus is read at depth m,
     # the seeded draws at the differential test's depths.
@@ -338,11 +322,11 @@ def test_index_is_the_walks_sorted_by_mass_then_tag(corpus_contexts):
             tables.append(shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth))
     for cover in tables:
         radix = 2 * (cover.genus + 1) * cover.depth_cap + 1
-        entries, by_v, chains = cover.by_mass
-        tags = [cover.tag(q) for _, q, _, _, _, _ in entries]
-        want = sorted((mass, tag) for tag, w in cover.walks.items() if (mass := walk_mass(w.darts)))
+        entries, by_v, chains = cover.by_length
+        tags = [cover.tag(q) for _, q, _, _, _ in entries]
+        want = sorted((w.length, tag) for tag, w in cover.walks.items() if w.length)
         assert [(entry[0], tag) for entry, tag in zip(entries, tags)] == want
-        for (_, q, k, v, length, darts), (tk, tv) in zip(entries, tags):
+        for (length, q, k, v, darts), (tk, tv) in zip(entries, tags):
             assert (k, v) == (tk, sum(x * radix**j for j, x in enumerate(reversed(tv))))
             assert darts == cover.walks[tk, tv].darts and length == len(darts)
         same_v = {}

@@ -21,7 +21,6 @@ from surfcut.oracle import brute_force_cut
 from surfcut.solver import (
     SolveContext,
     SolverError,
-    balance_peak,
     balance_table,
     combine_and_minimize,
     recover_cut,
@@ -116,7 +115,7 @@ def test_combine_on_single_edge(corpus_contexts):
 def test_combine_without_a_cancelling_sum_returns_none(corpus_contexts):
     ctx = corpus_contexts["k4_torus"]
     # the index of ctx.cover is built first; a replaced table must not inherit it
-    assert ctx.cover.by_mass[0]
+    assert ctx.cover.by_length[0]
     empty = dataclasses.replace(ctx.cover, darts={})
     table = balance_table(quotient(), ctx.g.n)
     assert combine_and_minimize(empty, ctx.loops, table, ctx.g.n, ctx.g.m, ctx.g.m) is None
@@ -165,7 +164,7 @@ def test_combine_ties_go_to_the_smaller_chain_then_coefficients():
         ({(1, ()): (0,), (2, ()): (2, 4)}, 0, 2, [(1, ())], (1, 0, 0, 0), 4, 2),
         # one dart each at |k| = 1, the second scanned with the smaller coefficients
         ({(-1, ()): (2,), (1, ()): (1,)}, 0, 1, [(1, ())], (-1, 0, 0, 0), 4, 2),
-        # four darts at |k| = 2 (value 8), then a two-walk sum of mass 4 that
+        # four darts at |k| = 2 (value 8), then a two-walk sum of length 4 that
         # cancels on edge 0 to size 2 at |k| = 1 (value 8): the later sum wins
         (
             {(2, (0, 0)): (6, 8, 10, 12), (1, (1, 0)): (0, 2, 4), (0, (-1, 0)): (1,)},
@@ -240,13 +239,12 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
     walks = [
         (key, w) for key, w in ctx.cover.walks.items() if not w.chain.is_zero and w.chain.size <= m
     ]
-    best, masses = None, []
+    best, lengths = None, []
     for r in range(1, ctx.genus + 2):
         pool = [(key, w) for key, w in walks if w.chain.size <= m - r + 1]
         mass = [w.chain.size for _, w in pool]
         for idx in itertools.combinations_with_replacement(range(len(pool)), r):
-            total = sum(mass[i] for i in idx)
-            if total > m:
+            if sum(mass[i] for i in idx) > m:
                 continue
             picked = [pool[i] for i in idx]
             if any(sum(c) for c in zip(*(v for (_, v), _ in picked))):
@@ -254,16 +252,17 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
             k = sum(wk for (wk, _), _ in picked)
             if not 1 <= abs(k) <= n - 1:
                 continue
-            masses.append(total)
+            lengths.append(sum(w.length for _, w in picked))
             chain = IntegerChain(tuple(map(sum, zip(*(w.chain.coeffs for _, w in picked)))))
             key = (Fraction(chain.size) / f(Fraction(abs(k), n)), chain.size, chain.coeffs, k)
             best = key if best is None else min(best, key)
     comb = combine_and_minimize(ctx.cover, ctx.loops, balance_table(f, n), n, m, m)
     assert (comb.value, comb.sigma.coeffs, ctx.weight.values.dot(comb.sigma)) == (best[0], best[2], best[3])
-    # the mass limit starts at min(m, (genus + 1) * depth), here m, and never
-    # drops below floor(OPT * F)
-    floor_limit = math.floor(best[0] * balance_peak(f, n))
-    assert sum(1 for x in masses if x <= floor_limit) <= comb.candidates <= len(masses)
+    # the limit on summed walk length starts at m and never drops below
+    # floor(OPT * F), and a sum's chain size is at most its length
+    peak = Fraction(*balance_table(f, n)[n // 2])
+    floor_limit = min(m, math.floor(best[0] * peak))
+    assert sum(1 for x in lengths if x <= floor_limit) <= comb.candidates <= len(lengths)
 
 
 @pytest.mark.parametrize("name", ["p4", "c6", "k4", "apollonian7"])
@@ -342,7 +341,7 @@ def test_solves_at_one_depth_share_one_table_and_index(corpus_graphs):
     tables = [ctx.solve_detailed(f).cover for f in (quotient(), density(), make_balance("expansion"), CUSTOM)]
     assert {table.depth_cap for table in tables} == {6} and ctx.g.m == 10
     assert all(table is tables[0] for table in tables)
-    assert all(table.by_mass is tables[0].by_mass for table in tables)
+    assert all(table.by_length is tables[0].by_length for table in tables)
     # combine reads packed tags and decodes only the walks it picks, so no
     # solve builds the decoded table
     assert "walks" not in vars(tables[0])
@@ -367,15 +366,15 @@ def test_one_table_and_index_across_depths(name, corpus_graphs, monkeypatch):
     # the four profiles alternate between two depths here, the first the
     # deeper, and every solve reads the one table and its one combine index
     indexed = []
-    build = CoverResult.by_mass.func
+    build = CoverResult.by_length.func
 
     def counted(cover):
         indexed.append(cover.depth_cap)
         return build(cover)
 
-    by_mass = functools.cached_property(counted)
-    by_mass.__set_name__(CoverResult, "by_mass")
-    monkeypatch.setattr(CoverResult, "by_mass", by_mass)
+    by_length = functools.cached_property(counted)
+    by_length.__set_name__(CoverResult, "by_length")
+    monkeypatch.setattr(CoverResult, "by_length", by_length)
     ctx = SolveContext(corpus_graphs[name])
     dets = [ctx.solve_detailed(f) for f in (quotient(), density(), make_balance("expansion"), CUSTOM)]
     depths = [det.depth for det in dets]
@@ -549,16 +548,15 @@ def test_summed_depth_on_small_planar_graphs():
             g = random_planar(n, d, 1)
             det = SolveContext(g).solve_detailed(f)
             depth += det.depth
-            ideal += min(g.m, math.floor(det.result.value * balance_peak(f, n)))
+            ideal += min(g.m, math.floor(det.result.value * Fraction(*balance_table(f, n)[n // 2])))
     assert (depth, ideal) == (320, 299)
 
 
 def test_balance_peak_is_the_largest_value():
     for f in (quotient(), density(), CUSTOM, parse_custom("0 0\n1/10 1/2\n")):
         for n in range(2, 21):
-            assert balance_peak(f, n) == max(f(Fraction(k, n)) for k in range(1, n))
-            # every entry: at odd n the two middle entries share a value, at even n one is its own mirror
             table = balance_table(f, n)
+            assert Fraction(*table[n // 2]) == max(f(Fraction(k, n)) for k in range(1, n))
+            # every entry: at odd n the two middle entries share a value, at even n one is its own mirror
             assert len(table) == n and table[0] is None
             assert table[1:] == [f(Fraction(a, n)).as_integer_ratio() for a in range(1, n)], (f.kind, n)
-            assert Fraction(*table[n // 2]) == balance_peak(f, n)
