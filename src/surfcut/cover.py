@@ -4,52 +4,50 @@ A BFS runs over states (face, accumulated weight k, accumulated crossing
 vector v), the fibers of a covering of the dual.  A state back at its start
 face describes a closed walk; per tag (k, v) the table keeps the shortest
 closed walk, ties going to the lexicographically smallest dart sequence.
-Walk length is capped at a depth D, at most the edge count m.  The solver
-picks D = min(m, floor(U * F)) from the value U of some cut and the peak
-F of the balance function: an optimal cut has at most OPT * F <= U * F
-edges, so no walk the minimizer may need is longer.  The BFS goes level by
-level with lexicographic ties inside a level, so the depth-D table is the
-walks of at most D darts of any deeper table, and a solve may read a deeper
-table at its own depth.
+Walk length is capped at a depth D <= m.  The solver picks
+D = min(m, floor(U * F)) from the value U of some cut and the peak F of the
+balance function, as an optimal cut has at most OPT * F <= U * F edges.
+The BFS goes level by level with lexicographic ties inside a level, so the
+depth-D table is the walks of at most D darts of any deeper table.
 
 A dart's weight is a subtree size, at most n - 1, and each loop crosses an
-edge at most once, so walks of at most D darts keep k and v inside a box
-known before the search: |k| <= K = D (n - 1) and |v_j| <= D.  A state
-is then one int in mixed radix, digits from the lowest: face, v_2g + D,
-..., v_1 + D, k + K.  A dart moves every state by the same precomputed
-int.  With k the highest digit and v_1 the next, q = state // faces orders
-states exactly as their tags (k, v) sort, so sorting the closed states'
-ints puts the table in tag order with no tuple compared.  One BFS runs per
-start dart d0, using only darts >= d0: every closed walk has a rotation
-starting at its smallest dart, so no class is missed.  The minimum-face
-rule (Johnson 1975: start at the smallest face and stay on faces >= it)
-would prune more, but it finds a different member of a tie than the
-lexicographic minimum and so changes the stored dart sequences.
+edge at most once, so walks of at most D darts keep k and v inside a box:
+|k| <= K = D (n - 1) and |v_j| <= D.  A state is then one int in mixed
+radix, digits from the lowest: face, v_2g + D, ..., v_1 + D, k + K, and a
+dart moves every state by the same precomputed int.  q = state // faces
+orders states as their tags (k, v) sort, so sorting the closed states'
+ints puts the table in tag order.  One BFS runs per start dart d0, using
+only darts >= d0: every closed walk has a rotation starting at its
+smallest dart.  The minimum-face rule (Johnson 1975) would prune more, but
+it finds a different member of a tie and so changes the stored darts.
 
 Each run prunes with an admissible bound, as in A* (Hart, Nilsson & Raphael
-1968): with dist(u) the fewest darts >= d0 from face u back to the start
-face t0, and dist(t0) = 1 since leaving t0 and closing again takes at least
-one dart, a state at level l on face u is expanded only when
-l + dist(u) <= D.  Any other state has no closed walk within D darts
-through it.  The bound never falls along a path, since a dart from u' to u
-gives dist(u') <= dist(u) + 1 (at t0 too: raising dist(t0) to 1 only
-grows the right side when u = t0, and 1 <= dist(u) + 1 when u' = t0), so
-each kept state's first path has every prefix kept, and the kept states
-are met in the same FIFO order as without the prune.  The table is therefore
-unchanged; only the states visited drop.  Closed states are checked on the
-frontier, where the loop holds their face and level, and a closed state's
-walk is rebuilt from the parent darts only when it is shorter than the
-walk its tag already has.
+1968).  With dist(u) the fewest darts >= d0 from face u back to the start
+face t0, and dist(t0) = 1, a state at level l on face u is expanded only
+when l + dist(u) <= D: no other state has a closed walk within D darts
+through it.  A usable table, above genus 0, keeps only the walks combine can
+use: a walk with crossing vector v needs partners of max_j |v_j| darts or
+more to cancel it, and combine scores sums of at most D darts.  Its runs
+expand a state only when l + max(dist(u), max_j |v_j|) <= D and store a walk
+only when its length + max_j |v_j| <= D.  Neither bound falls along a path:
+a dart moves each v_j by at most 1, and a dart from u' to u gives dist(u')
+<= dist(u) + 1 (at t0 too: raising dist(t0) to 1 only grows the right side
+when u = t0, and 1 <= dist(u) + 1 when u' = t0).  So each expanded state's
+first path has every prefix expanded, in the same FIFO order as with no
+prune, and a stored walk's last state before closing passes too (a level
+less, max_j |v_j| at most one more).  Every stored walk keeps the darts of
+the full table; only states drop.
 
 The table keeps each walk's darts under its q and is never decoded on the
-way to combine.  The v digits use radix R = 2 (g + 1) D + 1 rather than
-the 2 D + 1 the box needs, so that the v part of q, less its offsets, is
-the crossing vector packed as an int in which the sum of at most g + 1
-walks never carries.  CoverResult.by_length reads k and that packed v off
-q by integer arithmetic, orders the walks by length in buckets filled in q
-order, and holds a slot per walk for its chain coefficients, filled when a
-sum first uses the walk.  Only the dump, the tests and the walks a solve
-picks decode q into its tag.
+way to combine.  The v digits use a power-of-two radix R above
+4 (g + 1) D, not the 2 D + 1 the box needs.  So the v part of q, less its
+offsets, is v packed as an int in which a sum of at most g + 1 walks never
+carries, and each digit's field has a guard bit, R / 2, that lets a usable
+run test every |v_j| <= D - l with two adds and two masks.
+CoverResult.by_length reads k and that packed v off q, orders the walks by
+length in buckets filled in q order, and holds a slot per walk for its
+chain coefficients, filled when a sum first uses the walk.  Only the dump,
+the tests and the walks a solve picks decode q into its tag.
 """
 
 from __future__ import annotations
@@ -66,8 +64,10 @@ from surfcut.homology import LoopSystem, WeightFunction
 def tag_layout(n: int, genus: int, depth: int) -> tuple[int, int, int, int]:
     """How tags of walks of at most `depth` darts pack into q: the radix R of
     the v digits, the place of k's digit, the offset K = depth (n - 1) of k,
-    and the offset of the v part of q, depth in each of its 2g digits."""
-    radix = 2 * (genus + 1) * depth + 1
+    and the offset of the v part of q, depth in each of its 2g digits.  R is
+    a power of two above 2 * 2 (g + 1) depth, so each digit's field has a
+    guard bit, R / 2, that no digit and no sum of g + 1 walks reaches."""
+    radix = 1 << ((2 * (genus + 1) * depth).bit_length() + 1)
     coords = 2 * genus
     return radix, radix**coords, depth * (n - 1), depth * sum(radix**j for j in range(coords))
 
@@ -98,14 +98,15 @@ class CoverResult:
     darts maps each walk's packed tag q to the walk's darts, in ascending q,
     which is tag order.  q packs the tag (k, v), the weight and crossing
     vector of a walk, in mixed radix, digits from the lowest: v_2g + D, ...,
-    v_1 + D in radix R = 2 (genus + 1) D + 1, then k + K, with D the depth
-    cap and K = D (n - 1).  tag decodes q, and walks is the table decoded,
-    tag -> TaggedWalk, built on first read for the dump and the tests; a
-    solve never reads it.  The other fields account for the search that
-    built the table: states_per_start has one entry per start dart, the
-    states its run visited after the prune (those it reached, expanded or
-    not), and state_space_bound is the size of the covering state space
-    V' x [-K..K] x prod [-D..D] that bounds every run.
+    v_1 + D in the power-of-two radix R of tag_layout, then k + K, with D the
+    depth cap and K = D (n - 1).  tag decodes q, and walks is the table
+    decoded, tag -> TaggedWalk, built on first read for the dump and the
+    tests; a solve never reads it.  A usable table (genus above 0 only)
+    keeps only the walks with length + max_j |v_j| <= D, the ones a sum of
+    at most D darts can use, each with the darts the full table has; a full
+    table keeps every tag.  states_per_start has one entry per start dart,
+    the states its run visited after the prunes (those it reached, expanded
+    or not).
 
     by_length is the index the combine step reads, built on first read and
     kept with the table object, so every solve that reads one table, at
@@ -118,7 +119,7 @@ class CoverResult:
     m: int
     genus: int
     depth_cap: int
-    state_space_bound: int
+    usable: bool
     states_per_start: tuple[int, ...]
 
     @property
@@ -170,7 +171,7 @@ class CoverResult:
 
 
 def shortest_tagged_walks(
-    dual: EmbeddedGraph, w: WeightFunction, system: LoopSystem, depth: int
+    dual: EmbeddedGraph, w: WeightFunction, system: LoopSystem, depth: int, usable: bool = False
 ) -> CoverResult:
     """BFS the covering of the dual once per start dart and merge.
 
@@ -184,16 +185,15 @@ def shortest_tagged_walks(
     the run finds that walk.  Runs go by ascending d0, so the merge keeps
     the first walk of the shortest length it meets for a tag.
 
-    The run from d0 first finds dist[u], the fewest darts >= d0 from face u
-    back to t0, by one BFS backward from t0 (faces that cannot get back get
-    depth + 1), and expands a frontier state at level l on face u only when
-    l + dist[u] <= depth.  That drops exactly the states with no closed walk
-    of at most `depth` darts through them, and leaves the first path of
-    every other state, and so every stored walk, as it was.  Each frontier
-    state is checked for closing before the prune, at the level the loop is
-    on, which is its walk's length, and its darts are rebuilt only when that
-    beats the stored walk's length.  With dist[t0] = 1 no state at level
-    `depth` passes the prune, so a run ends when its frontier is empty.
+    The run from d0 finds dist[u] by one BFS backward from t0 (faces that
+    cannot get back get depth + 1) and prunes as the module docstring says.
+    With `usable` (kept only above genus 0), a frontier state at level l
+    with some |v_j| > depth - l is neither stored nor expanded, tested on
+    the guard bits of its q.  Each other frontier state is checked for
+    closing before the dist prune, at the level the loop is on, which is
+    its walk's length, and its darts are rebuilt only when that beats the
+    stored walk's length.  With dist[t0] = 1 no state at level `depth`
+    passes the prune, so a run ends when its frontier is empty.
     """
     m = dual.m
     n = len(w.order)
@@ -215,6 +215,10 @@ def shortest_tagged_walks(
     high_first = [place] + [radix**j for j in reversed(range(2 * genus))]
     origin_q = k_bound * place + v_offset
     offset = faces * origin_q
+    usable = usable and genus > 0
+    # q & vmask is the v part of q, and guard the top bit, R / 2, of each digit's field
+    vmask, half, ones = place - 1, radix >> 1, sum(radix**j for j in range(2 * genus))
+    guard = half * ones
     # dart 2e moves the state by its face change plus its moves of k and
     # v_1 .. v_2g, its edge's coefficients; its twin moves it back
     step = [0] * nd
@@ -258,8 +262,15 @@ def shortest_tagged_walks(
         level = 1
         while frontier:
             budget = depth - level
+            if usable:
+                # every |v_j| <= budget iff adding `over` sets no guard bit and `under` sets all
+                over, under = (half - 1 - depth - budget) * ones, (half - depth + budget) * ones
             nxt = []
             for s in frontier:
+                if usable:
+                    qv = s // faces & vmask
+                    if (qv + over) & guard or (qv + under) & guard != guard:
+                        continue
                 u = s % faces
                 if u == t0:
                     # a closed walk of `level` darts; a walk stored by an
@@ -296,7 +307,7 @@ def shortest_tagged_walks(
         m=m,
         genus=genus,
         depth_cap=depth,
-        state_space_bound=faces * (2 * depth + 1) ** (2 * genus) * (2 * k_bound + 1),
+        usable=usable,
         states_per_start=tuple(states_per_start),
     )
 

@@ -218,20 +218,23 @@ def combine_and_minimize(
 
     With F = f[n // 2], the peak, an optimal cut chain splits into circuits
     of total size at most OPT * F <= best * F for the best value found so
-    far.  Their stored replacements, the walks with the same tags, are no
+    far.  Their stored replacements R, the walks with the same tags, are no
     longer, so each has at most `depth` darts, together at most limit =
-    min(m, floor(best * F)), and their sum has a chain size at most its
-    length and so a value at most OPT.  So only multisets of walks of at
-    most `depth` darts whose lengths sum to at most the limit are scanned,
-    and the limit tightens as best improves.  The walks are read from the
-    table's `by_length` index, sorted by length once per table object, and
-    each multiset is taken once, as a nondecreasing index sequence into it.
-    A slot that has `left` slots still to fill stops at the first walk
-    longer than `depth` or with length + its length * left > limit: every
-    later walk is at least as long, so this prune is exact, and a deeper
-    table scans the walks of the depth-`depth` table in the same order and
-    gives the same result, candidate count included.  The prune is strict,
-    so chains tied at the best value are still scanned.
+    min(m, floor(best * F)).  So only multisets of walks of at most `depth`
+    darts whose lengths sum to at most the limit are scanned, each once, as
+    a nondecreasing index sequence into the table's `by_length` index, and
+    the limit tightens as best improves.  A slot with `left` slots still to
+    fill stops at the first walk longer than `depth` or with length + its
+    length * left > limit: every later walk is at least as long, so this
+    prune is exact and strict: ties at the best value are scanned.  A deeper
+    full table thus gives the result of the depth-`depth` one, candidate
+    count included.  A sum whose chain is smaller than its length, one whose
+    walks cancel, may not win.  R's sum may: its chain has value at least
+    OPT and size at most its length, at most OPT * f(|k|/n), so size =
+    length and its value is OPT.  Every sum eligible at OPT has size =
+    length <= floor(OPT * F), and each of its walks, cancelled by the
+    others, has length + max_j |v_j| at most that: a usable table as deep as
+    the solve scans it too, in the same order, and gives the same winner.
     Each entry carries its weight k and its crossing vector packed into an
     int, read off the table's packed tag, and the last slot reads only the
     walks whose int cancels the sum so far.  A sum is a tuple of chain
@@ -284,6 +287,8 @@ def combine_and_minimize(
                     partial = tuple(map(sum, zip(*map(coeffs_at, picked))))
                 coeffs = tuple(map(add, partial, coeffs))
             size = sum(map(abs, coeffs))
+            if size < length + elength:  # the walks cancel: such a sum may not win
+                continue
             # size / f(a / n) = size * den / num, against top / bottom
             here, there = size * den * bottom, top * num
             if here > there:
@@ -351,7 +356,7 @@ class SolveDetails:
 
     result is the recovered cut and combine the minimizer's best chain,
     with its value, walks and candidate count.  cover is the walk table the
-    solve read at its depth D, depth; the table may be deeper.
+    solve read at its depth D, depth; it may be deeper, and usable.
     """
 
     result: CutResult
@@ -369,7 +374,9 @@ class SolveContext:
     the loops and the subtree cuts behind U read.
     The context keeps one walk table, the deepest it has built, and each
     solve reads it at its own depth, so all solves share its combine index.
-    A solve deeper than the table builds a deeper one in its place.
+    A solve deeper than the table builds a deeper usable one in its place,
+    holding only the walks combine can use at that depth; cover puts the
+    full depth-m table, which serves every solve, in place of a usable one.
     """
 
     def __init__(self, g: EmbeddedGraph, root: int = 0):
@@ -408,15 +415,17 @@ class SolveContext:
         return min(Fraction(cut * table[k][1], table[k][0]) for k, (cut, _) in self.fewest_cut_edges.items())
 
     def walk_table(self, depth: int) -> CoverResult:
-        """The context's walk table, first built to `depth` if it is shallower."""
+        """The context's walk table, first built to `depth`, usable, if it is shallower."""
         if self._table is None or self._table.depth_cap < depth:
-            self._table = shortest_tagged_walks(self.dual, self.weight, self.loops, depth)
+            self._table = shortest_tagged_walks(self.dual, self.weight, self.loops, depth, usable=True)
         return self._table
 
     @property
     def cover(self) -> CoverResult:
-        """The full walk table, capped at the edge count m."""
-        return self.walk_table(self.g.m)
+        """The full walk table, capped at the edge count m, in place of a usable or shallower one."""
+        if self._table is None or self._table.usable or self._table.depth_cap < self.g.m:
+            self._table = shortest_tagged_walks(self.dual, self.weight, self.loops, self.g.m)
+        return self._table
 
     def solve_detailed(self, f: BalanceFunction) -> SolveDetails:
         n, m = self.g.n, self.g.m

@@ -205,5 +205,8 @@ def test_criterion_9_state_counts(corpus_contexts):
     print("criterion 9 (cover state counts within the analytic bound): PASS")
     for name, ctx in corpus_contexts.items():
         cover = ctx.cover
-        assert cover.max_states <= cover.state_space_bound, name
-        print(f"  {name}: max states {cover.max_states} <= bound {cover.state_space_bound}")
+        # the covering state space V' x [-K..K] x prod [-D..D], K = D (n - 1)
+        depth = cover.depth_cap
+        bound = ctx.dual.n * (2 * depth + 1) ** (2 * ctx.genus) * (2 * depth * (ctx.g.n - 1) + 1)
+        assert cover.max_states <= bound, name
+        print(f"  {name}: max states {cover.max_states} <= bound {bound}")

@@ -91,9 +91,9 @@ def test_dump_walks_builds_the_cover_once(tmp_path, monkeypatch, capsys):
     depths = []
     build = solver.shortest_tagged_walks
 
-    def counted(dual, w, system, depth=None):
+    def counted(dual, w, system, depth, usable=False):
         depths.append(depth)
-        return build(dual, w, system, depth)
+        return build(dual, w, system, depth, usable)
 
     monkeypatch.setattr(solver, "shortest_tagged_walks", counted)
     g = parse_embedding((CORPUS_DIR / "k5_torus.emb").read_text(encoding="utf-8"))

@@ -12,7 +12,7 @@ from walk_oracle import enumerate_closed_walks, theta_dart
 
 from surfcut.balance import quotient
 from surfcut.construct import complete_edges, cycle_edges, find_embedding, grid_torus, random_planar
-from surfcut.cover import dump_walks, shortest_tagged_walks
+from surfcut.cover import dump_walks, shortest_tagged_walks, tag_layout
 from surfcut.dual import IntegerChain, build_dual
 from surfcut.embedding import trace_faces
 from surfcut.homology import build_loop_system, build_weight
@@ -104,9 +104,10 @@ def test_state_counts_within_bound():
     g = find_embedding(6, cycle_edges(6), 0)
     dual, w, system = pipeline(g)
     cover = shortest_tagged_walks(dual, w, system, g.m)
-    # one BFS run per start dart of the dual
+    # one BFS run per start dart of the dual, each within the covering state
+    # space V' x [-K..K], K = m (n - 1), of this planar graph
     assert len(cover.states_per_start) == dual.num_darts
-    assert all(1 <= s <= cover.state_space_bound for s in cover.states_per_start)
+    assert all(1 <= s <= dual.n * (2 * g.m * (g.n - 1) + 1) for s in cover.states_per_start)
 
 
 def test_weights_outside_the_state_box_are_rejected():
@@ -126,7 +127,8 @@ def test_state_box_follows_the_depth():
     dual, w, system = pipeline(g)
     cover = shortest_tagged_walks(dual, w, system, 3)
     assert cover.depth_cap == 3
-    assert cover.state_space_bound == dual.n * 19 * 7 * 7
+    # the box V' x [-9..9] x [-3..3]^2 bounds every run
+    assert cover.max_states <= dual.n * 19 * 7 * 7
     assert all(walk.length <= 3 for walk in cover.walks.values())
     heavy = dataclasses.replace(w, values=IntegerChain((g.n,) + w.values.coeffs[1:]))
     twice = IntegerChain((2,) + system.loops[0].coeffs[1:])
@@ -309,10 +311,56 @@ def test_every_depth_is_the_deepest_table_restricted(corpus_contexts):
             assert list(cover.walks.items()) == within, (ctx.g.n, ctx.g.m, d)
 
 
+def test_usable_table_is_the_full_table_filtered(corpus_contexts):
+    # a usable table keeps exactly the walks with length + max_j |v_j| <= D,
+    # each with the darts the full table stores, in the same order and from
+    # no more states per run; at genus 0 it is the full table, flag off
+    dropped = 0
+    for name, ctx in corpus_contexts.items():
+        for depth in range(1, min(ctx.g.m, 7) + 1):
+            full = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth)
+            cover = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth, usable=True)
+            if not ctx.genus:
+                assert cover == full and not cover.usable, (name, depth)
+                continue
+            assert cover.usable and not full.usable
+            want = [
+                (key, walk.darts)
+                for key, walk in full.walks.items()
+                if walk.length + max(map(abs, key[1])) <= depth
+            ]
+            assert [(key, walk.darts) for key, walk in cover.walks.items()] == want, (name, depth)
+            assert all(a <= b for a, b in zip(cover.states_per_start, full.states_per_start)), (name, depth)
+            dropped += len(full.darts) - len(cover.darts)
+    assert dropped > 0
+
+
+def test_context_reuses_a_usable_table_only_within_its_depth(corpus_graphs):
+    # a solve's table is usable and serves every depth up to its own; the
+    # full table, which ctx.cover puts in its place, serves every depth
+    g = corpus_graphs["k5_torus"]
+    ctx = SolveContext(g)
+    table = ctx.walk_table(4)
+    assert table.usable and table.depth_cap == 4
+    assert ctx.walk_table(3) is table and ctx.walk_table(4) is table
+    deeper = ctx.walk_table(5)
+    assert deeper is not table and deeper.usable and deeper.depth_cap == 5
+    full = ctx.cover
+    assert not full.usable and full.depth_cap == g.m and ctx.cover is full
+    assert ctx.walk_table(5) is full and ctx.walk_table(g.m) is full
+    # at genus 0 no table is usable, and a full one at depth m is kept
+    g = corpus_graphs["k4"]
+    ctx = SolveContext(g)
+    shallow = ctx.walk_table(2)
+    assert not shallow.usable and ctx.cover is not shallow and ctx.cover.depth_cap == g.m
+    ctx = SolveContext(g)
+    assert ctx.cover is ctx.walk_table(g.m) and ctx.walk_table(2) is ctx.cover
+
+
 def test_index_is_the_walks_sorted_by_length_then_tag(corpus_contexts):
     # by_length, restated from the decoded table: the nonempty walks in
     # (length, tag) order, each entry's k its tag's weight and its packed v
-    # sum v_j R**(2g - j) with R = 2 (g + 1) depth_cap + 1, and per packed v
+    # sum v_j R**(2g - j) with R the radix of tag_layout, and per packed v
     # the ascending indices of its entries.  The corpus is read at depth m,
     # the seeded draws at the differential test's depths.
     tables = [ctx.cover for ctx in corpus_contexts.values()]
@@ -321,7 +369,7 @@ def test_index_is_the_walks_sorted_by_length_then_tag(corpus_contexts):
         for depth in (solver_depth(ctx), second):
             tables.append(shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, depth))
     for cover in tables:
-        radix = 2 * (cover.genus + 1) * cover.depth_cap + 1
+        radix = tag_layout(cover.n, cover.genus, cover.depth_cap)[0]
         entries, by_v, chains = cover.by_length
         tags = [cover.tag(q) for _, q, _, _, _ in entries]
         want = sorted((w.length, tag) for tag, w in cover.walks.items() if w.length)

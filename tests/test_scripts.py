@@ -34,17 +34,17 @@ octahedron          6    12   0   6    6      45       12/1          24/1       
 apollonian7         7    15   0   7    7      62       49/3          49/2          49/3
 apollonian9_del     9    17   0   5    5      34       45/4          18/1          45/4
 apollonian12_del    12   25   0   6    6      60       12/1          144/11        12/1
-k4_torus            4    6    1   4    4      135      8/1           16/1          8/1
-k5_torus            5    10   1   6    6      335      15/1          25/1          15/1
-k33_torus           6    9    1   5    5      328      10/1          18/1          10/1
-theta_torus         2    3    1   3    3      24       6/1           12/1          6/1
-banana24_torus      2    4    1   4    4      35       8/1           16/1          8/1
-grid23_torus        6    12   1   6    6      229      12/1          18/1          12/1
-grid33_torus        9    18   1   8    8      979      18/1          27/1          18/1
-banana25_g2         2    5    2   5    5      679      10/1          20/1          10/1
-series33_g2         3    6    2   3    3      84       9/1           27/2          9/1
-c4_doubled_g2       4    8    2   4    4      349      8/1           16/1          8/1
-k5_g2               5    10   2   6    6      3584     15/1          25/1          15/1
+k4_torus            4    6    1   4    4      100      8/1           16/1          8/1
+k5_torus            5    10   1   6    6      252      15/1          25/1          15/1
+k33_torus           6    9    1   5    5      246      10/1          18/1          10/1
+theta_torus         2    3    1   3    3      16       6/1           12/1          6/1
+banana24_torus      2    4    1   4    4      22       8/1           16/1          8/1
+grid23_torus        6    12   1   6    6      192      12/1          18/1          12/1
+grid33_torus        9    18   1   8    8      852      18/1          27/1          18/1
+banana25_g2         2    5    2   5    5      404      10/1          20/1          10/1
+series33_g2         3    6    2   3    3      76       9/1           27/2          9/1
+c4_doubled_g2       4    8    2   4    4      249      8/1           16/1          8/1
+k5_g2               5    10   2   6    6      1944     15/1          25/1          15/1
 summed D: 129, summed OPT*F: 129
 """
 

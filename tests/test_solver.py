@@ -14,7 +14,7 @@ from walk_oracle import mirror_image
 from surfcut import embedding, homology, solver
 from surfcut.balance import BalanceFunction, density, make_balance, parse_custom, quotient
 from surfcut.construct import from_cyclic_orders, grid_torus, random_planar
-from surfcut.cover import CoverResult, TaggedWalk
+from surfcut.cover import CoverResult, TaggedWalk, shortest_tagged_walks, tag_layout
 from surfcut.dual import IntegerChain, cut_chain
 from surfcut.homology import build_weight
 from surfcut.oracle import brute_force_cut
@@ -122,21 +122,19 @@ def test_combine_without_a_cancelling_sum_returns_none(corpus_contexts):
 
 
 def packed_table(walks, n, m, genus, depth):
-    """A walk table of `walks`, tag -> darts, with each tag packed as the cover
-    packs it: digits k + depth (n - 1), then v_1 + depth ... v_2g + depth, the
-    v digits in radix 2 (genus + 1) depth + 1."""
-    radix = 2 * (genus + 1) * depth + 1
+    """A full walk table of `walks`, tag -> darts, with each tag packed as the
+    cover packs it: digits k + depth (n - 1), then v_1 + depth ... v_2g +
+    depth, the v digits in the radix of tag_layout."""
+    radix, _, k_offset, _ = tag_layout(n, genus, depth)
 
     def pack(k, v):
-        q = k + depth * (n - 1)
+        q = k + k_offset
         for x in v:
             q = q * radix + x + depth
         return q
 
     darts = {pack(k, v): d for (k, v), d in sorted(walks.items())}
-    table = CoverResult(
-        darts=darts, n=n, m=m, genus=genus, depth_cap=depth, state_space_bound=0, states_per_start=(0,)
-    )
+    table = CoverResult(darts=darts, n=n, m=m, genus=genus, depth_cap=depth, usable=False, states_per_start=(0,))
     assert table.walks == {tag: TaggedWalk(d, m) for tag, d in sorted(walks.items())}
     return table
 
@@ -165,13 +163,14 @@ def test_combine_ties_go_to_the_smaller_chain_then_coefficients():
         # one dart each at |k| = 1, the second scanned with the smaller coefficients
         ({(-1, ()): (2,), (1, ()): (1,)}, 0, 1, [(1, ())], (-1, 0, 0, 0), 4, 2),
         # four darts at |k| = 2 (value 8), then a two-walk sum of length 4 that
-        # cancels on edge 0 to size 2 at |k| = 1 (value 8): the later sum wins
+        # cancels on edge 0 to size 2 at |k| = 1 (value 8): a sum whose walks
+        # cancel may not win, so the earlier chain, larger, stays
         (
             {(2, (0, 0)): (6, 8, 10, 12), (1, (1, 0)): (0, 2, 4), (0, (-1, 0)): (1,)},
             1,
             4,
-            [(0, (-1, 0)), (1, (1, 0))],
-            (0, 1, 1, 0, 0, 0, 0, 0),
+            [(2, (0, 0))],
+            (0, 0, 0, 1, 1, 1, 1, 0),
             8,
             2,
         ),
@@ -220,13 +219,12 @@ SHALLOW_GENUS3 = {"genus3_1": 1, "genus3_6": 6, "genus3_7": 7}
 
 
 def enumeration_context(name, corpus_contexts):
-    """A corpus context, or a genus-3 draw's pipeline with its depth-2 table as the cover."""
+    """A corpus context, or a genus-3 draw's pipeline with its full depth-2 table as the cover."""
     if name in corpus_contexts:
         return corpus_contexts[name]
     ctx = SolveContext(seeded_multigraphs(3, 8, seed=3)[SHALLOW_GENUS3[name]])
-    return types.SimpleNamespace(
-        g=ctx.g, genus=ctx.genus, loops=ctx.loops, weight=ctx.weight, cover=ctx.walk_table(2)
-    )
+    cover = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, 2)
+    return types.SimpleNamespace(g=ctx.g, genus=ctx.genus, loops=ctx.loops, weight=ctx.weight, cover=cover)
 
 
 @pytest.mark.parametrize(
@@ -313,22 +311,23 @@ def test_mirror_image_same_value(name, corpus_graphs):
 
 
 def test_context_caches_walk_table(corpus_graphs, monkeypatch):
-    # a solve builds its table only when no table at least as deep exists
+    # a solve builds its table, usable, only when no table at least as deep
+    # exists; ctx.cover puts the full one in its place
     depths = []
     build = solver.shortest_tagged_walks
 
-    def counted(dual, w, system, depth):
+    def counted(dual, w, system, depth, usable=False):
         depths.append(depth)
-        return build(dual, w, system, depth)
+        return build(dual, w, system, depth, usable)
 
     monkeypatch.setattr(solver, "shortest_tagged_walks", counted)
     ctx = SolveContext(corpus_graphs["k5_torus"])
     a = ctx.solve_detailed(quotient())
     b = ctx.solve_detailed(quotient())
-    assert a.cover is b.cover
+    assert a.cover is b.cover and a.cover.usable
     assert depths == [a.depth] and a.depth < ctx.g.m
     assert ctx.cover is ctx.cover
-    assert ctx.cover.depth_cap == ctx.g.m and len(depths) == 2
+    assert ctx.cover.depth_cap == ctx.g.m and not ctx.cover.usable and len(depths) == 2
     c = ctx.solve_detailed(density())
     assert len(depths) == 2
     assert c.cover is ctx.cover and c.depth < ctx.g.m
@@ -386,7 +385,7 @@ def test_one_table_and_index_across_depths(name, corpus_graphs, monkeypatch):
 def test_solver_errors_name_the_instance(corpus_graphs, monkeypatch):
     build = solver.shortest_tagged_walks
     monkeypatch.setattr(
-        solver, "shortest_tagged_walks", lambda *args: dataclasses.replace(build(*args), darts={})
+        solver, "shortest_tagged_walks", lambda *args, **kw: dataclasses.replace(build(*args, **kw), darts={})
     )
     with pytest.raises(SolverError) as err:
         SolveContext(corpus_graphs["k4_torus"]).solve(quotient())

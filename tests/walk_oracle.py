@@ -32,7 +32,12 @@ def _represents_class(seq: tuple[int, ...]) -> bool:
 
     seq[0] must be the smallest dart of seq and of its reverse, so the
     smallest member of the class is a rotation of one of them starting there.
+    When seq holds d0 = seq[0] once and not d0 ^ 1, the only such rotation
+    is seq itself, since the reverse holds d0 only where seq holds d0 ^ 1.
     """
+    d0 = seq[0]
+    if seq.count(d0) == 1 and d0 ^ 1 not in seq:
+        return True
     rev = tuple(d ^ 1 for d in reversed(seq))
     return all(seq <= s[i:] + s[:i] for s in (seq, rev) for i, d in enumerate(s) if d == seq[0])
 
