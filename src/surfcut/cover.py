@@ -38,6 +38,12 @@ prune, and a stored walk's last state before closing passes too (a level
 less, max_j |v_j| at most one more).  Every stored walk keeps the darts of
 the full table; only states drop.
 
+A state is settled where it is first reached: it is tested, checked for
+closing and pruned there, and only a state to be expanded joins the next
+frontier.  It expands through the darts out of its face less the twin of
+the dart it came by, which leads back to a visited state, so no visited
+state, first path or count changes.
+
 The table keeps each walk's darts under its q and is never decoded on the
 way to combine.  The v digits use a power-of-two radix R above
 4 (g + 1) D, not the 2 D + 1 the box needs.  So the v part of q, less its
@@ -187,13 +193,13 @@ def shortest_tagged_walks(
 
     The run from d0 finds dist[u] by one BFS backward from t0 (faces that
     cannot get back get depth + 1) and prunes as the module docstring says.
-    With `usable` (kept only above genus 0), a frontier state at level l
-    with some |v_j| > depth - l is neither stored nor expanded, tested on
-    the guard bits of its q.  Each other frontier state is checked for
-    closing before the dist prune, at the level the loop is on, which is
-    its walk's length, and its darts are rebuilt only when that beats the
-    stored walk's length.  With dist[t0] = 1 no state at level `depth`
-    passes the prune, so a run ends when its frontier is empty.
+    Each state is settled where it is reached, at the level the loop is on,
+    its walk's length.  With `usable` (kept only above genus 0), a state at
+    level l with some |v_j| > depth - l is neither stored nor expanded,
+    tested on the guard bits of its q.  Each other state is checked for
+    closing before the dist prune, and its darts are rebuilt only when that
+    beats the stored walk's length.  With dist[t0] = 1 no state at level
+    `depth` passes the prune, so a run ends when its frontier is empty.
     """
     m = dual.m
     n = len(w.order)
@@ -226,10 +232,11 @@ def shortest_tagged_walks(
         d = 2 * e
         step[d] = heads[d] - tails[d] + faces * sum(map(mul, high_first, tag_move))
         step[d + 1] = -step[d]
-    # moves[u]: (step, dart) for the darts leaving u that the current run may
-    # use, ascending; into[x]: the tail faces of the darts into x that it may
-    # use.  Each run drops its start dart from both when it is done.
-    moves = [[(step[d], d) for d in ds] for ds in out_darts]
+    # after[d]: (step, dart, head face) for the darts leaving heads[d] that the
+    # current run may use, ascending, less the twin d ^ 1; the origin, visited
+    # as -1, reads after[-1], the start dart alone.  into[x]: the tail faces of
+    # the darts into x that it may use.  Each run drops its start dart from all.
+    after = [[(step[e], e, heads[e]) for e in out_darts[heads[d]] if e != d ^ 1] for d in range(nd)] + [None]
     into = [[] for _ in range(faces)]
     for d in range(nd):
         into[heads[d]].append(tails[d])
@@ -255,10 +262,10 @@ def shortest_tagged_walks(
         dist[t0] = 1
 
         origin = t0 + offset
-        # a zero step is a dart back to the origin; at depth 0 the box has
-        # no room for a dart, and no walk may take one
-        frontier = [origin + step[d0]] if depth and step[d0] else []
-        visited = {origin: -1, **dict.fromkeys(frontier, d0)}
+        after[-1] = [(step[d0], d0, heads[d0])]
+        visited = {origin: -1}
+        # at depth 0 the box has no room for a dart, and no walk may take one
+        frontier = [origin] if depth else []
         level = 1
         while frontier:
             budget = depth - level
@@ -267,36 +274,37 @@ def shortest_tagged_walks(
                 over, under = (half - 1 - depth - budget) * ones, (half - depth + budget) * ones
             nxt = []
             for s in frontier:
-                if usable:
-                    qv = s // faces & vmask
-                    if (qv + over) & guard or (qv + under) & guard != guard:
-                        continue
-                u = s % faces
-                if u == t0:
-                    # a closed walk of `level` darts; a walk stored by an
-                    # earlier run starts with a smaller dart, and one run
-                    # reaches each tag at most once, so at equal length the
-                    # stored walk is the lexicographically smaller one
-                    q = s // faces
-                    cur = best.get(q)
-                    if cur is None or level < len(cur):
-                        darts = []
-                        x, d = s, visited[s]
-                        while d != -1:
-                            darts.append(d)
-                            x -= step[d]
-                            d = visited[x]
-                        best[q] = tuple(reversed(darts))
-                if dist[u] > budget:
-                    continue
-                for st, d in moves[u]:
+                for st, d, h in after[visited[s]]:
                     ns = s + st
-                    if ns not in visited:
-                        visited[ns] = d
+                    if ns in visited:
+                        continue
+                    visited[ns] = d
+                    if usable:
+                        qv = ns // faces & vmask
+                        if (qv + over) & guard or (qv + under) & guard != guard:
+                            continue
+                    if h == t0:
+                        # a closed walk of `level` darts; a walk stored by an earlier
+                        # run starts with a smaller dart, and one run reaches each tag
+                        # at most once, so at equal length the stored walk sorts first
+                        q = ns // faces
+                        cur = best.get(q)
+                        if cur is None or level < len(cur):
+                            darts = []
+                            x, e = ns, d
+                            while e != -1:
+                                darts.append(e)
+                                x -= step[e]
+                                e = visited[x]
+                            best[q] = tuple(reversed(darts))
+                    if dist[h] <= budget:
                         nxt.append(ns)
             frontier = nxt
             level += 1
-        moves[t0].pop(0)
+        # the darts into t0 are the twins of those out of it; after[d0 ^ 1] lacks d0
+        for e in out_darts[t0]:
+            if e != d0:
+                after[e ^ 1].pop(0)
         into[heads[d0]].remove(t0)
         states_per_start.append(len(visited))
 
@@ -315,7 +323,7 @@ def shortest_tagged_walks(
 def dump_walks(cover: CoverResult) -> str:
     """One line per tag, in tag order: k, the crossing coordinates, length, dart sequence."""
     lines = []
-    for (k, v), walk in cover.walks.items():
-        parts = [str(k), *map(str, v), str(walk.length), *map(str, walk.darts)]
-        lines.append(" ".join(parts))
+    for q, darts in cover.darts.items():
+        k, v = cover.tag(q)
+        lines.append(" ".join(map(str, (k, *v, len(darts), *darts))))
     return "\n".join(lines) + "\n"

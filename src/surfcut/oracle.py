@@ -1,19 +1,20 @@
 """The brute-force cut reference the solver is tested against.
 
 Subset enumeration scores every proper cut from the definition, building
-each side from a smaller one plus its top vertex so that a cut size costs a
-few popcounts; loops are never cut and are skipped.  A cut's value depends
-only on its size and |S|, and at a fixed |S| it rises with the size, so the
-best cut is found with one balance function call per side size, from each
-size's fewest cut; only the best cut is kept.  The scan blows up
-exponentially and carries a hard cap.
+each side from a smaller one plus its top vertex, whose increments to all
+its smaller sides are one list built by doubling; loops are never cut and
+are skipped.  A cut's value depends only on its size and |S|, and at a
+fixed |S| it rises with the size, so the best cut is found with one balance
+function call per side size, from each size's fewest cut; only the best cut
+is kept.  The scan blows up exponentially and carries a hard cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, sub
 
 from surfcut.balance import BalanceFunction
 from surfcut.embedding import EmbeddedGraph
@@ -32,15 +33,17 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
 
     Sides are n-bit masks holding bit 0, visited in ascending order.  A side S
     with top vertex v follows its parent S - v, visited earlier: cut(S) =
-    cut(S - v) + deg(v) - 2 e(v, S - v), with e read off v's
-    neighbour-multiplicity masks by popcount.  Loop edges are skipped, since
-    no side ever cuts one.  Each side's (|cut|, |S|) is packed into one int
-    key, |cut| << shift | |S|, and taken from its parent's key.  The value
-    |cut| / f(|S| / n) depends on the key alone and, at a fixed |S|, rises
-    with |cut|, so only each size's fewest cut can be least: `best` costs one
-    `f` call per size.  Only the sides tied at the minimum are built, and
-    `best` is the least of them by (|cut|, S), the `CutResult.sort_key`
-    order, scored by `score_cut`.
+    cut(S - v) + deg(v) - 2 e(v, S - v).  Loop edges are skipped, since no
+    side ever cuts one.  Each side's (|cut|, |S|) is packed into one int
+    key, |cut| << shift | |S|, its parent's key plus v's increment.  The
+    increments for all parents are one list doubled over 0 < u < v: those
+    for the parents with u are those without it, less 2 mult(v, u) cut
+    edges; vertex 0, in every parent, takes its 2 mult(v, 0) off the start.
+    The value |cut| / f(|S| / n) depends on the key alone and, at a fixed
+    |S|, rises with |cut|, so only each size's fewest cut can be least:
+    `best` costs one `f` call per size.  Only the sides tied at the minimum
+    are built, and `best` is the least of them by (|cut|, S), the
+    `CutResult.sort_key` order, scored by `score_cut`.
     """
     n = g.n
     if n > cap:
@@ -57,14 +60,13 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
     total = 2 ** (n - 1) - 1
     keys = [deg[0] << shift | 1]
     for v in range(1, n):
-        step = deg[v] << shift | 1
-        parents = keys[: min(1 << (v - 1), total - len(keys))]
-        for lay in layers[v]:
-            # e(v, S - v) counts vertex 0 from bit 0 of lay, the rest from p
-            step -= (lay & 1) << (shift + 1)
-            rest = lay >> 1
-            parents = [key - ((p & rest).bit_count() << (shift + 1)) for p, key in enumerate(parents)]
-        keys += [key + step for key in parents]
+        # cuts[u] = 2 mult(v, u) in the key's cut field, from v's layers
+        cuts = [sum(lay >> u & 1 for lay in layers[v]) << (shift + 1) for u in range(v)]
+        moves = [(deg[v] << shift | 1) - cuts[0]]
+        for c in cuts[1:]:
+            # repeat stops the map at the old length of the list it extends
+            moves += map(sub, moves, repeat(c, len(moves))) if c else moves
+        keys += map(add, keys[: min(1 << (v - 1), total - len(keys))], moves)
 
     fewest: dict[int, int] = {}
     for key in sorted(set(keys)):

@@ -23,6 +23,12 @@ from surfcut.solver import SolveContext, balance_table
 WALK_DIGESTS = json.loads(
     (Path(__file__).resolve().parent / "data" / "corpus_walk_digests.json").read_text(encoding="utf-8")
 )
+# per corpus instance, in manifest order, the sum and the sha256 of the
+# space-joined states_per_start of two tables: "full", ctx.cover, and
+# "solve", the usable table a quotient solve builds to its depth D
+STATE_COUNTS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "corpus_state_counts.json").read_text(encoding="utf-8")
+)
 
 
 def pipeline(g, root=0):
@@ -184,13 +190,25 @@ def test_ties_go_to_the_smallest_dart_sequence(corpus_contexts):
 
 
 def test_every_corpus_walk_table_is_pinned(manifest):
-    assert list(WALK_DIGESTS) == [item["name"] for item in manifest]
+    assert list(WALK_DIGESTS) == list(STATE_COUNTS) == [item["name"] for item in manifest]
 
 
 @pytest.mark.parametrize("name", list(WALK_DIGESTS))
 def test_corpus_walk_tables_frozen(name, corpus_contexts):
     dump = dump_walks(corpus_contexts[name].cover)
     assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == WALK_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(STATE_COUNTS))
+def test_corpus_state_counts_frozen(name, corpus_contexts):
+    # the states each run visits, pruned or not, pin how the BFS walks the
+    # covering, which the stored walks alone do not
+    ctx = corpus_contexts[name]
+    solve = shortest_tagged_walks(ctx.dual, ctx.weight, ctx.loops, solver_depth(ctx), usable=True)
+    for key, cover in (("full", ctx.cover), ("solve", solve)):
+        states = cover.states_per_start
+        digest = hashlib.sha256(" ".join(map(str, states)).encode("utf-8")).hexdigest()
+        assert [sum(states), digest] == STATE_COUNTS[name][key], (name, key)
 
 
 def reference_tagged_walks(dual, w, system, depth):

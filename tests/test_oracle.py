@@ -113,6 +113,7 @@ def test_brute_force_matches_plain_scoring(corpus_graphs, corpus_contexts):
         random_planar(12, 4, seed=6),
         corpus_contexts["k4_torus"].dual,  # 2 vertices, 2 loops
         corpus_contexts["apollonian12_del"].dual,  # 15 vertices, 1 loop
+        *map(_seeded_multigraph, range(2, 13)),
     ]
     for g in graphs:
         for f in profiles:
@@ -178,6 +179,43 @@ def _multigraph(n: int, edges: list[tuple[int, int]]) -> EmbeddedGraph:
         for a, b in zip(ds, ds[1:] + ds[:1]):
             rotation[a] = b
     return EmbeddedGraph(n=n, tails=tuple(tails), heads=tuple(heads), rotation=tuple(rotation), allow_loops=True)
+
+
+def _seeded_multigraph(n: int) -> EmbeddedGraph:
+    """A connected multigraph on n vertices, drawn from seed n, for every
+    branch of the oracle's increments: edges of multiplicity 2 and 3, to
+    vertex 0 too, loops, from n = 3 on vertex 1 joined only to vertices
+    above it, and from n = 4 on no edge between vertices 1 and n - 1."""
+    rng = random.Random(n)
+    # a spanning tree with no edge at vertex 1 from below, 0-2 three times,
+    # then more pairs, never 0-1 or 1-(n - 1), each pair's edge count set to
+    # 1 to 3
+    mult = {(0, 1): 3} if n == 2 else {(1, 2): 1, (0, 2): 3}
+    for v in range(3, n):
+        mult[rng.choice([u for u in range(v) if u != 1]), v] = 1
+    for _ in range(n):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in ((0, 1), (1, n - 1)) and mult.get((u, v)) != 3:
+            mult[u, v] = rng.randint(1, 3)
+    edges = [pair for pair, count in mult.items() for _ in range(count)]
+    edges += [(v, v) for v in rng.sample(range(n), 2)]
+    rng.shuffle(edges)
+    return _multigraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges])
+
+
+def test_seeded_multigraphs_reach_every_branch():
+    # per vertex v and lower vertex u, the oracle's increments take the
+    # multiplicity of uv, zero or not, at u = 0 and at u >= 1
+    for n in range(2, 13):
+        g = _seeded_multigraph(n)
+        masks, _ = g.neighbour_masks
+        assert _connected(g, set(range(n))), n
+        assert any(u == v for u, v in zip(g.tails, g.heads)), n
+        assert len(masks[0]) == 3 and max(map(len, masks)) == 3, n
+        if n >= 3:
+            assert masks[1][0] and not masks[1][0] & 0b11, n
+        if n >= 4:
+            assert any(not masks[v][0] >> u & 1 for v in range(2, n) for u in range(1, v)), n
 
 
 def test_sixteen_vertex_multigraph_matches_plain_scoring():
