@@ -1,15 +1,18 @@
 """Builders for embedded test graphs.
 
 Covers the standard small families, exhaustive or randomized search for a
-rotation of prescribed genus, and a constructive random planar generator
+rotation of prescribed genus, a constructive random planar generator
 (stacked triangulations with random non-bridge deletions) whose planarity
-never depends on searching.
+never depends on searching, and `add_handles`, which raises a map's genus
+by joining two of its faces with an edge, once per handle.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
+from operator import ne
 
 from surfcut.embedding import EmbeddedGraph, EmbeddingError, genus, trace_faces
 
@@ -144,11 +147,10 @@ def random_tree(n: int, seed: int = 0) -> EmbeddedGraph:
     return from_cyclic_orders(n, edges, out)
 
 
-def _insert_into_face(tails, heads, rot, walk):
-    """Stack a new vertex into a triangular face, keeping the map planar."""
+def _insert_into_face(tails, heads, rot, walk, x):
+    """Stack new vertex x into a triangular face, keeping the map planar."""
     p, q, r = walk
     a = tails[p]
-    x = max(max(tails), max(heads)) + 1
     base = len(tails)
     xa, ax = base, base + 1
     xb, bx = base + 2, base + 3
@@ -161,22 +163,24 @@ def _insert_into_face(tails, heads, rot, walk):
     rot[p ^ 1], rot[bx] = bx, q
     rot[q ^ 1], rot[cx] = cx, r
     rot[xa], rot[xc], rot[xb] = xc, xb, xa
-    return x
 
 
-def _delete_edge(tails, heads, rot, e):
-    """Remove edge e from the rotation system, compacting dart ids."""
-    for d in (2 * e, 2 * e + 1):
+def _delete_edge(tails, heads, rot, face_of, e):
+    """Remove edge e, whose two sides are distinct faces, compacting dart ids.
+
+    The two faces merge into one, so face_of gives the second side's darts
+    the first side's label.  Returns the new tails, heads, rot and face_of.
+    """
+    lo, hi = 2 * e, 2 * e + 2
+    for d in (lo, lo + 1):
         x = rot[d]
         while rot[x] != d:
             x = rot[x]
         rot[x] = rot[d]
-    keep = [d for d in range(len(tails)) if d >> 1 != e]
-    remap = {d: i for i, d in enumerate(keep)}
-    new_tails = [tails[d] for d in keep]
-    new_heads = [heads[d] for d in keep]
-    new_rot = [remap[rot[d]] for d in keep]
-    return new_tails, new_heads, new_rot
+    keep, gone = face_of[lo], face_of[lo + 1]
+    face_of = [keep if label == gone else label for label in face_of[:lo] + face_of[hi:]]
+    new_rot = [d - 2 if d >= hi else d for d in rot[:lo] + rot[hi:]]
+    return tails[:lo] + tails[hi:], heads[:lo] + heads[hi:], new_rot, face_of
 
 
 def _as_graph(n, tails, heads, rot) -> EmbeddedGraph:
@@ -191,27 +195,72 @@ def random_planar(n: int, deletions: int = 0, seed: int = 0) -> EmbeddedGraph:
     Starts from a triangle, repeatedly subdivides a random face, then drops
     up to `deletions` random edges whose two sides are distinct faces (never
     a bridge, so the graph stays connected and the sphere stays a sphere).
+
+    The face drawn from is `trace_faces`'s list of facial walks, which is
+    traced once and then kept by a split rule.  That list is sorted by
+    smallest dart, each walk starting there.  Stacking x into walk (p, q, r)
+    leaves the triangles (o, rot[o ^ 1], rot[rot[o ^ 1] ^ 1]) for o in
+    (p, q, r).  Every new dart is above every old one, so o is its
+    triangle's smallest dart: p's triangle takes the old walk's place and
+    the other two go in at their first darts' sorted places.  The deletions
+    keep one face label per dart, merging the two labels of each deleted
+    edge.  So the random stream, and the graph, are those of re-tracing the
+    map after every step, at O(n + deletions * m) cost instead of O(n^2).
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
     rng = random.Random(seed)
     tri = find_embedding(3, cycle_edges(3), 0)
     tails, heads, rot = list(tri.tails), list(tri.heads), list(tri.rotation)
-    for _ in range(n - 3):
-        g = _as_graph(max(tails) + 1 if tails else 0, tails, heads, rot)
-        faces = trace_faces(g)
-        walk = faces.facial_walks[rng.randrange(faces.face_count)]
-        _insert_into_face(tails, heads, rot, walk)
+    walks = list(trace_faces(tri).facial_walks)
+    keys = [walk[0] for walk in walks]
+    for x in range(3, n):
+        i = rng.randrange(len(walks))
+        _insert_into_face(tails, heads, rot, walks[i], x)
+        p_tri, *rest = [(o, rot[o ^ 1], rot[rot[o ^ 1] ^ 1]) for o in walks[i]]
+        walks[i] = p_tri
+        for tri_o in rest:
+            at = bisect_left(keys, tri_o[0])
+            keys.insert(at, tri_o[0])
+            walks.insert(at, tri_o)
+    face_of = [0] * len(tails)
+    for label, walk in enumerate(walks):
+        for d in walk:
+            face_of[d] = label
     for _ in range(deletions):
-        g = _as_graph(n, tails, heads, rot)
-        faces = trace_faces(g)
-        candidates = [
-            e for e in range(g.m) if faces.face_of[2 * e] != faces.face_of[2 * e + 1]
-        ]
+        candidates = list(itertools.compress(itertools.count(), map(ne, face_of[::2], face_of[1::2])))
         if not candidates:
             break
-        tails, heads, rot = _delete_edge(tails, heads, rot, rng.choice(candidates))
+        tails, heads, rot, face_of = _delete_edge(tails, heads, rot, face_of, rng.choice(candidates))
     g = _as_graph(n, tails, heads, rot)
     if genus(g) != 0:
         raise EmbeddingError("planar generator drifted off the sphere")
     return g
+
+
+def add_handles(g: EmbeddedGraph, h: int, seed: int = 0) -> EmbeddedGraph:
+    """`g` with h edges added, each joining two faces, so its genus is h more.
+
+    For each handle the faces are traced afresh and darts a, b drawn until
+    their tails differ and the corners after them, on faces
+    face_of[rot[a]] and face_of[rot[b]], differ.  The new edge runs from
+    tails[a] to tails[b], its darts placed right after a and b in their
+    rotations.  That merges the two faces: m rises by 1 and F falls by 1.
+    """
+    rng = random.Random(seed)
+    tails, heads, rot = list(g.tails), list(g.heads), list(g.rotation)
+    for _ in range(h):
+        faces = trace_faces(_as_graph(g.n, tails, heads, rot))
+        if faces.face_count < 2:
+            raise ValueError("a handle needs two distinct faces to join")
+        face_of, nd = faces.face_of, len(tails)
+        while True:
+            a, b = rng.randrange(nd), rng.randrange(nd)
+            if tails[a] != tails[b] and face_of[rot[a]] != face_of[rot[b]]:
+                break
+        u, v = tails[a], tails[b]
+        tails += [u, v]
+        heads += [v, u]
+        rot += [rot[a], rot[b]]
+        rot[a], rot[b] = nd, nd + 1
+    return _as_graph(g.n, tails, heads, rot)

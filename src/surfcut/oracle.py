@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, sub
 
 from surfcut.balance import BalanceFunction
@@ -42,7 +42,8 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
     The value |cut| / f(|S| / n) depends on the key alone and, at a fixed
     |S|, rises with |cut|, so only each size's fewest cut can be least:
     `best` costs one `f` call per size.  Only the sides tied at the minimum
-    are built, and `best` is the least of them by (|cut|, S), the
+    are built, found by `list.index` scans for each tied key rather than a
+    test of every key, and `best` is the least of them by (|cut|, S), the
     `CutResult.sort_key` order, scored by `score_cut`.
     """
     n = g.n
@@ -75,9 +76,17 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
         key: Fraction(key >> shift) / f(Fraction(key & size_mask, n)) for key in fewest.values()
     }
     low = min(scored.values())
-    tied_keys = {key for key, val in scored.items() if val == low}
+    tied = []
+    for key, val in scored.items():
+        if val == low:
+            i = keys.index(key)
+            while True:
+                tied.append(i)
+                try:
+                    i = keys.index(key, i + 1)
+                except ValueError:
+                    break
     _, S = min(
-        (keys[i] >> shift, tuple(v for v in range(n) if (2 * i + 1) >> v & 1))
-        for i in compress(range(total), map(tied_keys.__contains__, keys))
+        (keys[i] >> shift, tuple(v for v in range(n) if (2 * i + 1) >> v & 1)) for i in tied
     )
     return OracleReport(best=score_cut(g, S, f))

@@ -3,9 +3,11 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from planar_reference import retraced_random_planar
 import pytest
 
 from surfcut.construct import (
+    add_handles,
     banana_edges,
     complete_bipartite_edges,
     complete_edges,
@@ -17,7 +19,7 @@ from surfcut.construct import (
     random_tree,
     wheel_edges,
 )
-from surfcut.embedding import EmbeddingError, genus
+from surfcut.embedding import EmbeddingError, format_embedding, genus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,6 +84,22 @@ def test_random_planar_stays_planar(n, deletions, seed):
     assert 3 * n - 6 - deletions <= g.m <= 3 * n - 6
 
 
+def test_random_planar_matches_the_retracing_generator():
+    # a face list out of trace_faces's order would make the rng pick another face
+    for n in range(3, 41):
+        for deletions in range(8):
+            for seed in (0, 1, 201):
+                want = format_embedding(retraced_random_planar(n, deletions, seed))
+                assert format_embedding(random_planar(n, deletions, seed)) == want, (n, deletions, seed)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(3, 60), deletions=st.integers(0, 12), seed=st.integers(0, 2**31 - 1))
+def test_random_planar_matches_the_retracing_generator_on_draws(n, deletions, seed):
+    want = format_embedding(retraced_random_planar(n, deletions, seed))
+    assert format_embedding(random_planar(n, deletions, seed)) == want
+
+
 def test_random_planar_needs_a_triangle():
     with pytest.raises(ValueError):
         random_planar(2)
@@ -98,3 +116,40 @@ def test_corpus_regenerates_byte_for_byte():
     assert sorted(files) == sorted(p.name for p in corpus.iterdir())
     for name, text in files.items():
         assert (corpus / name).read_bytes() == text.encode("utf-8"), name
+
+
+def _connected(g) -> bool:
+    seen, stack = {0}, [0]
+    while stack:
+        for d in g.out_darts[stack.pop()]:
+            if g.heads[d] not in seen:
+                seen.add(g.heads[d])
+                stack.append(g.heads[d])
+    return len(seen) == g.n
+
+
+@pytest.mark.parametrize("n,h,m", [(60, 1, 170), (100, 1, 290), (20, 2, 51), (30, 2, 81),
+                                   (20, 3, 52), (30, 3, 82), (16, 4, 41)])
+def test_add_handles_raises_the_genus_by_h(n, h, m):
+    # the H(n, h) ladder: h handles on random_planar(n, 5, 2), seed 7
+    base = random_planar(n, 5, 2)
+    g = add_handles(base, h, 7)
+    assert (g.n, g.m, genus(g)) == (n, m, h)
+    assert g.m == base.m + h
+    assert all(u != v for u, v in zip(g.tails, g.heads))
+    assert _connected(g)
+    assert format_embedding(add_handles(base, h, 7)) == format_embedding(g)
+
+
+def test_add_handles_keeps_the_old_darts_in_order():
+    base = random_planar(12, 2, 5)
+    g = add_handles(base, 2, 3)
+    assert g.tails[: base.num_darts] == base.tails and g.heads[: base.num_darts] == base.heads
+    assert add_handles(base, 0, 3) == base
+
+
+def test_add_handles_needs_two_faces():
+    with pytest.raises(ValueError, match="two distinct faces"):
+        add_handles(random_tree(6, 1), 1)
+    with pytest.raises(ValueError, match="two distinct faces"):
+        add_handles(find_embedding(3, cycle_edges(3), 0), 2)

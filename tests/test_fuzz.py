@@ -7,16 +7,18 @@ graphs.  A seeded draw of denser multigraphs embedded at genus 3 reaches
 six crossing coordinates, which no corpus file has, and seeded draws with
 9-10 vertices at genus 2 and 3 go past the hypothesis graphs' 8.  Planar
 graphs with 17-20 vertices and a 20-vertex torus grid go past the oracle's
-default cap of 16.
+default cap of 16.  Handles added to planar graphs with 10-16 vertices
+reach genus 1-3 on graphs larger than any `find_embedding` draw.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from surfcut.balance import density, parse_custom, quotient
-from surfcut.construct import find_embedding, from_cyclic_orders, grid_torus, random_planar
+from surfcut.construct import add_handles, find_embedding, from_cyclic_orders, grid_torus, random_planar
 from surfcut.embedding import EmbeddingError, genus
 from surfcut.oracle import brute_force_cut
 from surfcut.solver import SolveContext, score_cut
@@ -99,3 +101,9 @@ def test_graphs_past_sixteen_vertices_match_oracle():
     planar = [random_planar(n, d, seed=n) for n, d in ((17, 1), (18, 2), (19, 3), (20, 4))]
     check_against_oracle(planar, 0, cap=20)
     check_against_oracle([grid_torus(4, 5)], 1, cap=20)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_handle_graphs_match_oracle(h):
+    graphs = [add_handles(random_planar(n, 5, n), h, h) for n in (10, 13, 16)]
+    check_against_oracle(graphs, h, cap=20)

@@ -74,3 +74,25 @@ def test_corpus_outputs_on_two_files(tmp_path, monkeypatch, manifest):
     for item in items:
         for label in corpus_outputs.PROFILES:
             assert (out / item["name"] / f"{label}.walks").read_text(encoding="utf-8"), (item["name"], label)
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = [{"wall_s": x, "raw.setup_s": 2.0, "cuts": 5.0} for x in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    change = [{"wall_s": x, "raw.setup_s": 2.0, "cuts": y}
+              for x, y in zip((0.5, 1.5, 2.5, 3.5, 5.5), (6.0, 6.0, 6.0, 6.0, 4.0))]
+    rows = bench_pairs.summarize(parent, change, {"wall_s": True, "cuts": False})
+    wall, raw, cuts = rows
+    assert wall["metric"] == "wall_s" and wall["pairs"] == 5
+    assert wall["parent"] == (2.0, 3.0, 4.0) and wall["change"] == (1.5, 2.5, 3.5)
+    assert wall["won"] == 4 and wall["ratio"] == 2.5 / 3.0
+    # 4 of 5 pairs is under nine tenths, and a 0.5 gap is inside the parent's IQR of 2
+    assert not wall["claim"]
+    assert raw["won"] == 0 and not raw["claim"]
+    # higher-better: 4 of 5 won; only 5/5 with a gap past the IQR would meet the rule
+    assert cuts["won"] == 4 and cuts["parent"] == (5.0, 5.0, 5.0) and not cuts["claim"]
+    rows = bench_pairs.summarize(parent[:1] * 10, [{**change[0], "cuts": 6.0}] * 10, {"cuts": False})
+    assert [r["claim"] for r in rows] == [True, False, True]
+    assert len(bench_pairs.format_rows(rows)) == 4
