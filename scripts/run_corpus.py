@@ -69,7 +69,7 @@ def main():
         sum_depth += depth
         sum_ideal += ideal
         # the context keeps one table, built to the deepest solve's depth
-        row = [item["name"], g.n, g.m, ctx.genus, depth, ideal, det.cover.max_states, *values]
+        row = [item["name"], g.n, g.m, ctx.genus, depth, ideal, max(det.cover.states_per_start), *values]
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     print(f"summed D: {sum_depth}, summed OPT*F: {sum_ideal}")
     note = " (oracle checked)" if args.oracle else ""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from operator import ne
+from operator import itemgetter, ne
 
 from surfcut.embedding import EmbeddedGraph, EmbeddingError, genus, trace_faces
 
@@ -183,12 +183,6 @@ def _delete_edge(tails, heads, rot, face_of, e):
     return tails[:lo] + tails[hi:], heads[:lo] + heads[hi:], new_rot, face_of
 
 
-def _as_graph(n, tails, heads, rot) -> EmbeddedGraph:
-    return EmbeddedGraph(
-        n=n, tails=tuple(tails), heads=tuple(heads), rotation=tuple(rot)
-    )
-
-
 def random_planar(n: int, deletions: int = 0, seed: int = 0) -> EmbeddedGraph:
     """Random planar embedding: a stacked triangulation minus some edges.
 
@@ -196,33 +190,31 @@ def random_planar(n: int, deletions: int = 0, seed: int = 0) -> EmbeddedGraph:
     up to `deletions` random edges whose two sides are distinct faces (never
     a bridge, so the graph stays connected and the sphere stays a sphere).
 
-    The face drawn from is `trace_faces`'s list of facial walks, which is
-    traced once and then kept by a split rule.  That list is sorted by
-    smallest dart, each walk starting there.  Stacking x into walk (p, q, r)
-    leaves the triangles (o, rot[o ^ 1], rot[rot[o ^ 1] ^ 1]) for o in
-    (p, q, r).  Every new dart is above every old one, so o is its
+    The face drawn from is a list of facial walks in `trace_faces`'s order,
+    sorted by smallest dart, each walk starting there.  It starts as the
+    triangle's two faces, and a split rule keeps it up to date.  Stacking x
+    into walk (p, q, r) leaves the triangles (o, rot[o ^ 1], rot[rot[o ^ 1] ^ 1])
+    for o in (p, q, r).  Every new dart is above every old one, so o is its
     triangle's smallest dart: p's triangle takes the old walk's place and
     the other two go in at their first darts' sorted places.  The deletions
     keep one face label per dart, merging the two labels of each deleted
     edge.  So the random stream, and the graph, are those of re-tracing the
-    map after every step, at O(n + deletions * m) cost instead of O(n^2).
+    map after every step, at O(n + deletions * m) cost.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
     rng = random.Random(seed)
-    tri = find_embedding(3, cycle_edges(3), 0)
-    tails, heads, rot = list(tri.tails), list(tri.heads), list(tri.rotation)
-    walks = list(trace_faces(tri).facial_walks)
-    keys = [walk[0] for walk in walks]
+    # the triangle 0 -> 1 -> 2 -> 0 and its two faces, as
+    # find_embedding(3, cycle_edges(3), 0) and trace_faces build them
+    tails, heads, rot = [0, 1, 1, 2, 2, 0], [1, 0, 2, 1, 0, 2], [5, 2, 1, 4, 3, 0]
+    walks = [(0, 2, 4), (1, 5, 3)]
     for x in range(3, n):
         i = rng.randrange(len(walks))
         _insert_into_face(tails, heads, rot, walks[i], x)
         p_tri, *rest = [(o, rot[o ^ 1], rot[rot[o ^ 1] ^ 1]) for o in walks[i]]
         walks[i] = p_tri
         for tri_o in rest:
-            at = bisect_left(keys, tri_o[0])
-            keys.insert(at, tri_o[0])
-            walks.insert(at, tri_o)
+            walks.insert(bisect_left(walks, tri_o[0], key=itemgetter(0)), tri_o)
     face_of = [0] * len(tails)
     for label, walk in enumerate(walks):
         for d in walk:
@@ -232,7 +224,7 @@ def random_planar(n: int, deletions: int = 0, seed: int = 0) -> EmbeddedGraph:
         if not candidates:
             break
         tails, heads, rot, face_of = _delete_edge(tails, heads, rot, face_of, rng.choice(candidates))
-    g = _as_graph(n, tails, heads, rot)
+    g = EmbeddedGraph(n, tuple(tails), tuple(heads), tuple(rot))
     if genus(g) != 0:
         raise EmbeddingError("planar generator drifted off the sphere")
     return g
@@ -250,7 +242,7 @@ def add_handles(g: EmbeddedGraph, h: int, seed: int = 0) -> EmbeddedGraph:
     rng = random.Random(seed)
     tails, heads, rot = list(g.tails), list(g.heads), list(g.rotation)
     for _ in range(h):
-        faces = trace_faces(_as_graph(g.n, tails, heads, rot))
+        faces = trace_faces(EmbeddedGraph(g.n, tuple(tails), tuple(heads), tuple(rot)))
         if faces.face_count < 2:
             raise ValueError("a handle needs two distinct faces to join")
         face_of, nd = faces.face_of, len(tails)
@@ -263,4 +255,4 @@ def add_handles(g: EmbeddedGraph, h: int, seed: int = 0) -> EmbeddedGraph:
         heads += [v, u]
         rot += [rot[a], rot[b]]
         rot[a], rot[b] = nd, nd + 1
-    return _as_graph(g.n, tails, heads, rot)
+    return EmbeddedGraph(g.n, tuple(tails), tuple(heads), tuple(rot))

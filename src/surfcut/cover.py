@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from surfcut.dual import IntegerChain
+from surfcut.dual import IntegerChain, walk_coeffs
 from surfcut.embedding import EmbeddedGraph
 from surfcut.homology import LoopSystem, WeightFunction
 
@@ -70,12 +70,13 @@ from surfcut.homology import LoopSystem, WeightFunction
 def tag_layout(n: int, genus: int, depth: int) -> tuple[int, int, int, int]:
     """How tags of walks of at most `depth` darts pack into q: the radix R of
     the v digits, the place of k's digit, the offset K = depth (n - 1) of k,
-    and the offset of the v part of q, depth in each of its 2g digits.  R is
-    a power of two above 2 * 2 (g + 1) depth, so each digit's field has a
-    guard bit, R / 2, that no digit and no sum of g + 1 walks reaches."""
+    and ones = sum_j R**j, a 1 in each of the 2g v digits, so the v part of
+    q is offset by depth * ones.  R is a power of two above 2 * 2 (g + 1)
+    depth, so each digit's field has a guard bit, R / 2, that no digit and
+    no sum of g + 1 walks reaches."""
     radix = 1 << ((2 * (genus + 1) * depth).bit_length() + 1)
     coords = 2 * genus
-    return radix, radix**coords, depth * (n - 1), depth * sum(radix**j for j in range(coords))
+    return radix, radix**coords, depth * (n - 1), sum(radix**j for j in range(coords))
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +95,7 @@ class TaggedWalk:
 
     @property
     def chain(self) -> IntegerChain:
-        return IntegerChain.of_walk(self.m, self.darts)
+        return IntegerChain(walk_coeffs(self.m, self.darts))
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,6 @@ class CoverResult:
     usable: bool
     states_per_start: tuple[int, ...]
 
-    @property
-    def max_states(self) -> int:
-        return max(self.states_per_start)
-
     @cached_property
     def _layout(self) -> tuple[int, int, int, int]:
         return tag_layout(self.n, self.genus, self.depth_cap)
@@ -163,7 +160,8 @@ class CoverResult:
         of at most g + 1 walks has digits below R / 2, no carry, and packs to
         0 only when its v is 0.
         """
-        _, place, k_offset, v_offset = self._layout
+        _, place, k_offset, ones = self._layout
+        v_offset = self.depth_cap * ones
         buckets: list[list] = [[] for _ in range(self.depth_cap + 1)]
         for q, darts in self.darts.items():
             if darts:
@@ -217,13 +215,13 @@ def shortest_tagged_walks(
     # the tag digits of q = s // faces, as tag_layout packs them: high_first
     # holds their place values in q, k's first, then v_1 .. v_2g
     genus = system.genus
-    radix, place, k_bound, v_offset = tag_layout(n, genus, depth)
+    radix, place, k_bound, ones = tag_layout(n, genus, depth)
     high_first = [place] + [radix**j for j in reversed(range(2 * genus))]
-    origin_q = k_bound * place + v_offset
+    origin_q = k_bound * place + depth * ones
     offset = faces * origin_q
     usable = usable and genus > 0
     # q & vmask is the v part of q, and guard the top bit, R / 2, of each digit's field
-    vmask, half, ones = place - 1, radix >> 1, sum(radix**j for j in range(2 * genus))
+    vmask, half = place - 1, radix >> 1
     guard = half * ones
     # dart 2e moves the state by its face change plus its moves of k and
     # v_1 .. v_2g, its edge's coefficients; its twin moves it back

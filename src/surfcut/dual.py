@@ -42,10 +42,6 @@ class IntegerChain:
     def __post_init__(self):
         object.__setattr__(self, "size", sum(map(abs, self.coeffs)))
 
-    @classmethod
-    def of_walk(cls, m: int, darts: tuple[int, ...]) -> "IntegerChain":
-        return cls(coeffs=walk_coeffs(m, darts))
-
     def dart_coeff(self, d: int) -> int:
         c = self.coeffs[d >> 1]
         return c if d % 2 == 0 else -c

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from surfcut.dual import IntegerChain
+from surfcut.dual import IntegerChain, walk_coeffs
 from surfcut.embedding import EmbeddedGraph, EmbeddingError, bfs_tree
 
 
@@ -107,7 +107,7 @@ def build_loop_system(g: EmbeddedGraph, dual: EmbeddedGraph, w: WeightFunction) 
     leftover = tuple(sorted(set(range(g.m)) - tree_edges - cotree_edges))
 
     loops = tuple(
-        IntegerChain.of_walk(g.m, (2 * e, *_via_root(parent_dart, g.tails, g.heads[2 * e], g.tails[2 * e])))
+        IntegerChain(walk_coeffs(g.m, (2 * e, *_via_root(parent_dart, g.tails, g.heads[2 * e], g.tails[2 * e]))))
         for e in leftover
     )
     return LoopSystem(loops=loops, cotree_edges=cotree_edges, leftover_edges=leftover)

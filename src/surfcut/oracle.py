@@ -42,9 +42,9 @@ def brute_force_cut(g: EmbeddedGraph, f: BalanceFunction, cap: int = 16) -> Orac
     The value |cut| / f(|S| / n) depends on the key alone and, at a fixed
     |S|, rises with |cut|, so only each size's fewest cut can be least:
     `best` costs one `f` call per size.  Only the sides tied at the minimum
-    are built, found by `list.index` scans for each tied key rather than a
-    test of every key, and `best` is the least of them by (|cut|, S), the
-    `CutResult.sort_key` order, scored by `score_cut`.
+    are built, found by `list.index` scans for each tied key, and `best` is
+    the least of them by (|cut|, S), the `CutResult.sort_key` order, scored
+    by `score_cut`.
     """
     n = g.n
     if n > cap:

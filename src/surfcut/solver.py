@@ -38,7 +38,7 @@ from operator import add
 from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, shortest_tagged_walks
 from surfcut.dual import IntegerChain, build_dual, cut_chain, walk_coeffs
-from surfcut.embedding import EmbeddedGraph, FaceStructure, trace_faces
+from surfcut.embedding import EmbeddedGraph, trace_faces
 from surfcut.homology import LoopSystem, WeightFunction, build_loop_system, build_weight
 
 
@@ -357,10 +357,11 @@ class SolveDetails:
 class SolveContext:
     """Caches the f-independent pipeline stages for one embedded graph.
 
-    Faces, dual, weights, loops, the fewest cut edges behind U and the walk
+    The dual, weights, loops, the fewest cut edges behind U and the walk
     table depend only on the graph and the root, so solving for several
-    balance functions reuses them.  The weight holds the one BFS tree that
-    the loops and the subtree cuts behind U read.
+    balance functions reuses them; the faces are traced for the dual and
+    not kept.  The weight holds the one BFS tree that the loops and the
+    subtree cuts behind U read.
     The context keeps one walk table, the deepest it has built, and each
     solve reads it at its own depth, so all solves share its combine index.
     A solve deeper than the table builds a deeper usable one in its place,
@@ -377,17 +378,13 @@ class SolveContext:
         self.root = root
         self._table: CoverResult | None = None
 
-    @cached_property
-    def faces(self) -> FaceStructure:
-        return trace_faces(self.g)
-
     @property
     def genus(self) -> int:
         return self.loops.genus
 
     @cached_property
     def dual(self) -> EmbeddedGraph:
-        return build_dual(self.g, self.faces)
+        return build_dual(self.g, trace_faces(self.g))
 
     @cached_property
     def weight(self) -> WeightFunction:

@@ -17,7 +17,7 @@ from walk_oracle import companion_cycles, enumerate_closed_walks, min_tag_table
 from surfcut import cli
 from surfcut.balance import density, make_balance, parse_custom, quotient
 from surfcut.construct import complete_bipartite_edges, complete_edges, random_planar
-from surfcut.dual import IntegerChain, cut_chain
+from surfcut.dual import IntegerChain, cut_chain, walk_coeffs
 from surfcut.embedding import trace_faces
 from surfcut.oracle import brute_force_cut
 from surfcut.solver import SolveContext
@@ -127,7 +127,7 @@ def test_criterion_5_crossing_form(corpus_contexts):
         system = ctx.loops
         zero = (0,) * (2 * system.genus)
         for walk in trace_faces(ctx.dual).facial_walks:
-            c = IntegerChain.of_walk(ctx.g.m, walk)
+            c = IntegerChain(walk_coeffs(ctx.g.m, walk))
             assert system.theta(c) == zero, name
         rows = [system.theta(c) for c in companion_cycles(ctx.dual, ctx.weight, system)]
         for j, row in enumerate(rows):
@@ -140,7 +140,7 @@ def test_criterion_5_crossing_form(corpus_contexts):
 def test_criterion_6_shortest_walk_table(corpus_contexts):
     checked = []
     for name, ctx in corpus_contexts.items():
-        if ctx.faces.face_count > 4:
+        if ctx.dual.n > 4:
             continue
         walks = enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=6)
         table = min_tag_table(walks)
@@ -208,5 +208,6 @@ def test_criterion_9_state_counts(corpus_contexts):
         # the covering state space V' x [-K..K] x prod [-D..D], K = D (n - 1)
         depth = cover.depth_cap
         bound = ctx.dual.n * (2 * depth + 1) ** (2 * ctx.genus) * (2 * depth * (ctx.g.n - 1) + 1)
-        assert cover.max_states <= bound, name
-        print(f"  {name}: max states {cover.max_states} <= bound {bound}")
+        max_states = max(cover.states_per_start)
+        assert max_states <= bound, name
+        print(f"  {name}: max states {max_states} <= bound {bound}")

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,3 +214,71 @@ def test_solver_error_exits_4(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {path}: recovered cut scores worse than its chain\n"
+
+
+HEADERS = ["vertices", "vertices 0", "vertices 1", "vertices x", "edges 4", "vertices 3 3"]
+
+
+def _mutate_embedding(rng, lines):
+    """One seeded damage to an embedding file's lines."""
+    lines = list(lines)
+    kind = rng.randrange(6)
+    i = rng.randrange(len(lines))
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        j = rng.randrange(i, len(lines)) + 1
+        lines[i:j] = rng.sample(lines[i:j], j - i)
+    elif kind == 3:
+        tokens = lines[i].split(" ")
+        numbers = [j for j, t in enumerate(tokens) if t.rstrip(":").isdigit()]
+        if numbers:
+            j = rng.choice(numbers)
+            tokens[j] = str(rng.randrange(-1, 12)) + (":" if tokens[j].endswith(":") else "")
+        lines[i] = " ".join(tokens)
+    elif kind == 4:
+        lines.insert(i, f"edge {rng.randrange(-1, 6)} {rng.randrange(-1, 6)}")
+    else:
+        lines[1] = rng.choice(HEADERS)
+    return "\n".join(lines) + "\n"
+
+
+PROFILE_TOKENS = ["1/0", "nan", "1e5", "0x10", "-1", "", "inf", "1/-2", "0.5", "2", "1/3", "0"]
+
+
+def _mutate_profile(rng):
+    """The README custom profile with one or two fields swapped for odd tokens."""
+    rows = [["0", "0"], ["1/4", "1/3"], ["1/2", "1/2"]]
+    for _ in range(rng.randrange(1, 3)):
+        rows[rng.randrange(3)][rng.randrange(2)] = rng.choice(PROFILE_TOKENS)
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def test_mutated_inputs_exit_with_one_error_line(tmp_path, capsys):
+    # every bad input, however it is broken, ends in one `error:` line and no traceback
+    rng = random.Random(30)
+    emb, profile = tmp_path / "mutant.emb", tmp_path / "profile.txt"
+    names = ["c4", "k4", "diamond", "theta_torus", "k4_torus", "banana4", "digon", "k23"]
+    sources = [(CORPUS_DIR / f"{name}.emb").read_text(encoding="utf-8") for name in names]
+    # a corpus file opens with a comment line, then the vertices line
+    cases = [(_mutate_embedding(rng, rng.choice(sources).splitlines()), None) for _ in range(240)]
+    cases += [(rng.choice(sources), _mutate_profile(rng)) for _ in range(160)]
+    codes = []
+    for text, prof in cases:
+        emb.write_text(text, encoding="utf-8")
+        argv = [str(emb)]
+        if prof is not None:
+            profile.write_text(prof, encoding="utf-8")
+            argv += ["--f", f"custom:{profile}"]
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 3, 4), (text, prof)
+        if code:
+            assert out == "", (text, prof)
+            assert err.startswith("error: ") and err.count("\n") == 1, (text, prof, err)
+        codes.append(code)
+    # both kinds of mutant make valid and invalid inputs
+    assert 0 in codes[:240] and 1 in codes[:240]
+    assert 0 in codes[240:] and 1 in codes[240:]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from planar_reference import retraced_random_planar
 import pytest
 
+from surfcut import construct
 from surfcut.construct import (
     add_handles,
     banana_edges,
@@ -98,6 +99,16 @@ def test_random_planar_matches_the_retracing_generator():
 def test_random_planar_matches_the_retracing_generator_on_draws(n, deletions, seed):
     want = format_embedding(retraced_random_planar(n, deletions, seed))
     assert format_embedding(random_planar(n, deletions, seed)) == want
+
+
+def test_random_planar_starts_from_a_constant_triangle(monkeypatch):
+    # the seed triangle and its faces are constants, not searched or traced per call
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_planar searched or traced its seed triangle")
+
+    monkeypatch.setattr(construct, "find_embedding", refuse)
+    monkeypatch.setattr(construct, "trace_faces", refuse)
+    assert genus(random_planar(12, 3, seed=5)) == 0
 
 
 def test_random_planar_needs_a_triangle():

@@ -134,7 +134,7 @@ def test_state_box_follows_the_depth():
     cover = shortest_tagged_walks(dual, w, system, 3)
     assert cover.depth_cap == 3
     # the box V' x [-9..9] x [-3..3]^2 bounds every run
-    assert cover.max_states <= dual.n * 19 * 7 * 7
+    assert max(cover.states_per_start) <= dual.n * 19 * 7 * 7
     assert all(walk.length <= 3 for walk in cover.walks.values())
     heavy = dataclasses.replace(w, values=IntegerChain((g.n,) + w.values.coeffs[1:]))
     twice = IntegerChain((2,) + system.loops[0].coeffs[1:])
@@ -171,7 +171,7 @@ def test_ties_go_to_the_smallest_dart_sequence(corpus_contexts):
     # (length, darts) of each tag among all of them
     checked = 0
     for name, ctx in corpus_contexts.items():
-        if ctx.faces.face_count > 4:
+        if ctx.dual.n > 4:
             continue
         smallest = {}
         for darts, k, v in enumerate_closed_walks(ctx.dual, ctx.weight, ctx.loops, max_len=5):

@@ -53,7 +53,7 @@ def test_single_vertex_cut_is_negative_face(g):
     for v in range(g.n):
         c = cut_chain(g, {v})
         k = next(k for k, vv in face_vertex.items() if vv == v)
-        face = IntegerChain.of_walk(dual.m, dfaces.facial_walks[k])
+        face = IntegerChain(walk_coeffs(dual.m, dfaces.facial_walks[k]))
         assert face.coeffs == tuple(-x for x in c.coeffs)
 
 
@@ -72,7 +72,7 @@ def test_chain_algebra():
     assert a.size == 6
     assert not a.is_zero and IntegerChain((0, 0, 0)).is_zero
     # a walk crosses edge 0 along dart 0, edge 1 twice against it, edge 2 along it
-    assert walk_coeffs(3, (0, 3, 3, 4)) == IntegerChain.of_walk(3, (0, 3, 3, 4)).coeffs == (1, -2, 1)
+    assert IntegerChain(walk_coeffs(3, (0, 3, 3, 4))) == IntegerChain((1, -2, 1))
     assert a.dart_coeff(0) == 1 and a.dart_coeff(1) == -1
     assert a.dart_coeff(2) == -2 and a.dart_coeff(3) == 2
 

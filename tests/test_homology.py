@@ -13,7 +13,7 @@ from surfcut.construct import (
     path_edges,
     random_planar,
 )
-from surfcut.dual import IntegerChain, build_dual, cut_chain
+from surfcut.dual import IntegerChain, build_dual, cut_chain, walk_coeffs
 from surfcut.embedding import EmbeddingError, trace_faces
 from surfcut.homology import WeightFunction, build_loop_system, build_weight
 
@@ -98,7 +98,7 @@ def test_theta_vanishes_on_dual_faces(g):
     system = build_loop_system(g, dual, build_weight(g))
     zero = (0,) * (2 * system.genus)
     for walk in trace_faces(dual).facial_walks:
-        assert system.theta(IntegerChain.of_walk(g.m, walk)) == zero
+        assert system.theta(IntegerChain(walk_coeffs(g.m, walk))) == zero
 
 
 @pytest.mark.parametrize("g", [TORUS_K5, GENUS2], ids=["k5", "banana25"])

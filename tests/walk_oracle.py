@@ -9,7 +9,7 @@ are dual cycles that cross one loop of a loop system each.
 
 from __future__ import annotations
 
-from surfcut.dual import IntegerChain
+from surfcut.dual import IntegerChain, walk_coeffs
 from surfcut.embedding import EmbeddedGraph, bfs_tree
 from surfcut.homology import LoopSystem, WeightFunction, _via_root
 
@@ -36,7 +36,7 @@ def companion_cycles(
     for e in system.leftover_edges:
         d = 2 * e
         walk = (d, *_via_root(parent, dual.tails, dual.heads[d], dual.tails[d]))
-        cycles.append(IntegerChain.of_walk(dual.m, walk))
+        cycles.append(IntegerChain(walk_coeffs(dual.m, walk)))
     return tuple(cycles)
 
 
