@@ -1,4 +1,4 @@
-"""Balance functions weighting cut sides, evaluated in exact rationals.
+"""Balance functions weighting cut sides, evaluated in exact integers.
 
 A balance function maps the fraction x = |S|/n to a nonnegative rational;
 cuts are scored |cut| / f(x).  Built-ins: quotient f(x) = min(x, 1-x) and
@@ -6,6 +6,9 @@ density f(x) = x(1-x).  Custom functions are piecewise linear on [0, 1/2],
 nondecreasing and concave there, extended symmetrically by f(x) = f(1-x).
 Edge expansion h = |cut| / min(|S|, n-|S|) is the quotient value divided by
 n, so it needs no function of its own: the spec 'expansion' builds quotient.
+f.ratio(a, n) is f(a/n) as an integer pair in lowest terms, the only way f
+is evaluated: the solver reads these pairs with no Fraction per side size,
+and f(x) is the pair at x's numerator and denominator as a Fraction.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 HALF = Fraction(1, 2)
 
@@ -69,19 +73,26 @@ class BalanceFunction:
     def __call__(self, x: Fraction) -> Fraction:
         if not (0 <= x <= 1):
             raise ValueError(f"balance argument {x} outside [0, 1]")
-        x = min(x, 1 - x)
+        return Fraction(*self.ratio(x.numerator, x.denominator))
+
+    def ratio(self, a: int, n: int) -> tuple[int, int]:
+        """f(a/n) for 0 <= a <= n as (numerator, denominator) in lowest terms."""
+        a = min(a, n - a)
         if self.kind == "quotient":
-            return x
-        if self.kind == "density":
-            return x * (1 - x)
-        bps = self.breakpoints
-        xs = [b[0] for b in bps]
-        i = bisect_right(xs, x) - 1
-        if i == len(bps) - 1:
-            return bps[-1][1]
-        x0, y0 = bps[i]
-        x1, y1 = bps[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            num, den = a, n
+        elif self.kind == "density":
+            num, den = a * (n - a), n * n
+        else:
+            x = Fraction(a, n)
+            bps = self.breakpoints
+            i = bisect_right([b[0] for b in bps], x) - 1
+            if i == len(bps) - 1:
+                return bps[-1][1].as_integer_ratio()
+            x0, y0 = bps[i]
+            x1, y1 = bps[i + 1]
+            return (y0 + (y1 - y0) * (x - x0) / (x1 - x0)).as_integer_ratio()
+        common = gcd(num, den)
+        return num // common, den // common
 
 
 def quotient() -> BalanceFunction:

@@ -10,18 +10,22 @@ include the single vertices) and the subtree sides of the weight tree seed
 the best known side of each size, and single-vertex moves improve those
 sides until no size's cut falls.  These fewest cut edges per side size
 depend only on the graph and are found once per context, and U >= OPT, as
-U is a real cut's value.  U, F and combine read one table of f per solve.
-The solve reads the walk table only to depth D = min(m, floor(U * F)), and
+U is a real cut's value.  U, F and combine read one table of f per solve,
+f(a/n) as an integer pair for each side size a, and compare values in
+integers, cross-multiplied; only U and the winner become Fractions.  The
+solve reads the walk table only to depth D = min(m, floor(U * F)), and
 scans sums of at most genus+1 tagged walks whose crossing vectors cancel:
 one pass over the walks sorted by length, cut off where the length passes
 floor(best * F) for the best value found so far, with the last walk of each
-sum looked up by the crossing vector that cancels the rest.  The table
-keys each walk by its tag packed into one int, and the crossing-vector part
-of that int sums over g + 1 walks without carries, so summing crossing
-vectors is adding ints; sums are coefficient tuples scored in integers,
-and only the winner becomes a Fraction and an IntegerChain.  The sorted
-list, its lookup and the walk coefficients do not depend on f, so each
-walk table holds them once, and the solves that read one table share them.
+sum looked up by the crossing vector that cancels the rest and skipped when
+the sum's length passes best * f(|k|/n) at the sum's own weight k.  The
+table keys each walk by its tag packed into one int, and the
+crossing-vector part of that int sums over g + 1 walks without carries, so
+summing crossing vectors is adding ints; sums are coefficient tuples
+scored in integers, and only the winner becomes an IntegerChain.  The
+sorted list, its lookup and the walk coefficients do not depend on f, so
+each walk table holds them once, and the solves that read one table share
+them.
 The best chain becomes a vertex cut by thresholding a potential function,
 which can only improve the score.  The two values must agree at the
 optimum, and the cut must score no worse than U; the solver checks both.
@@ -90,7 +94,7 @@ def balance_table(f: BalanceFunction, n: int) -> list[tuple[int, int] | None]:
     f is symmetric and nondecreasing on [0, 1/2], so the entry at n // 2 is
     the peak F = max f(k/n) over k = 1 .. n-1: a cut of value v has at most
     v * F edges."""
-    half = [f(Fraction(a, n)).as_integer_ratio() for a in range(1, n // 2 + 1)]
+    half = [f.ratio(a, n) for a in range(1, n // 2 + 1)]
     return [None, *half, *reversed(half[: (n - 1) // 2])]
 
 
@@ -215,26 +219,32 @@ def combine_and_minimize(
     the limit tightens as best improves.  A slot with `left` slots still to
     fill stops at the first walk longer than `depth` or with length + its
     length * left > limit: every later walk is at least as long, so this
-    prune is exact and strict: ties at the best value are scanned.  A deeper
-    full table thus gives the result of the depth-`depth` one, candidate
-    count included.  A sum whose chain is smaller than its length, one whose
-    walks cancel, may not win.  R's sum may: its chain has value at least
-    OPT and size at most its length, at most OPT * f(|k|/n), so size =
-    length and its value is OPT.  Every sum eligible at OPT has size =
-    length <= floor(OPT * F), and each of its walks, cancelled by the
-    others, has length + max_j |v_j| at most that: a usable table as deep as
-    the solve scans it too, in the same order, and gives the same winner.
+    prune is exact and strict: ties at the best value are scanned.  A sum
+    whose chain is smaller than its length, one whose walks cancel, may not
+    win.  R's sum may: its chain has value at least OPT and size at most its
+    length, at most OPT * f(|k|/n), so size = length and its value is OPT.
+    The last slot knows the sum's weight k, and it skips, before counting it
+    a candidate, a walk that takes the sum's length past best * f(|k|/n):
+    that sum's size is at most its length, and equal to it if it may win,
+    so its value is above best.  R's sum and every sum eligible at OPT have
+    length at most OPT * f(|k|/n), so the skip is exact and strict too, and
+    a deeper full table gives the result of the depth-`depth` one,
+    candidate count included.  Every sum eligible at OPT has size = length
+    <= floor(OPT * F), and each of its walks, cancelled by the others, has
+    length + max_j |v_j| at most that: a usable table as deep as the solve
+    scans it too, in the same order, and gives the same winner.
     Each entry carries its weight k and its crossing vector packed into an
     int, read off the table's packed tag, and the last slot reads only the
     walks whose int cancels the sum so far.  A sum is a tuple of chain
     coefficients, a walk's built when a sum first uses it and kept in the
     index's slot, and its size is the sum of their absolute values.  Values
-    compare in integers: f(|k|/n) as a numerator and a denominator, read
-    off the table f = balance_table(f, n), against the best value top /
-    bottom, first 1 / 0.  Ties break on value, then chain size, then chain
-    coefficients.  Only the winner becomes a Fraction and an IntegerChain,
-    and walks_used decodes the tags of its walks.  None when no sum of walks
-    within `depth` has cancelling crossings and a proper balance.
+    and lengths compare in integers: f(|k|/n) as a numerator and a
+    denominator, read off the table f = balance_table(f, n), against the
+    best value top / bottom, first 1 / 0.  Ties break on value, then chain
+    size, then chain coefficients.  Only the winner becomes a Fraction and
+    an IntegerChain, and walks_used decodes the tags of its walks.  None
+    when no sum of walks within `depth` has cancelling crossings and a
+    proper balance.
     """
     entries, by_v, slots = cover.by_length
 
@@ -268,8 +278,12 @@ def combine_and_minimize(
             a = abs(k + ek)
             if not 1 <= a <= n - 1:
                 continue
-            candidates += 1
             num, den = f[a]
+            # a sum longer than best * f(a / n) cannot win: its size is at most
+            # its length, and equal to it if it may win
+            if (length + elength) * bottom * den > top * num:
+                continue
+            candidates += 1
             coeffs = coeffs_at(i)
             if picked:
                 if partial is None:
@@ -399,8 +413,16 @@ class SolveContext:
         return fewest_cut_edges(self.g, self.weight)
 
     def upper_bound(self, table: list[tuple[int, int] | None]) -> Fraction:
-        """U, the least cut / f(k/n) over the cached fewest cut edges, read off balance_table(f, n)."""
-        return min(Fraction(cut * table[k][1], table[k][0]) for k, (cut, _) in self.fewest_cut_edges.items())
+        """U, the least cut / f(k/n) over the cached fewest cut edges, read off balance_table(f, n).
+
+        The values compare in integers, as a pair top / bottom, first 1 / 0;
+        only U itself becomes a Fraction."""
+        top, bottom = 1, 0
+        for k, (cut, _) in self.fewest_cut_edges.items():
+            num, den = table[k]
+            if cut * den * bottom < top * num:
+                top, bottom = cut * den, num
+        return Fraction(top, bottom)
 
     def walk_table(self, depth: int) -> CoverResult:
         """The context's walk table, first built to `depth`, usable, if it is shallower."""

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -83,6 +84,18 @@ def test_out_of_range_rejected():
         quotient()(Fraction(3, 2))
     with pytest.raises(ValueError):
         density()(Fraction(-1, 4))
+    for f in (quotient(), density(), CUSTOM, parse_custom("0 0\n1/10 1/2\n")):
+        with pytest.raises(ValueError):
+            f(Fraction(5, 4))
+
+
+@pytest.mark.parametrize("f", [quotient(), density(), CUSTOM, parse_custom("0 0\n1/10 1/2\n")])
+def test_ratio_is_f_in_lowest_terms(f):
+    for n in range(1, 21):
+        for a in range(n + 1):
+            num, den = f.ratio(a, n)
+            assert Fraction(num, den) == f(Fraction(a, n)), (f.kind, a, n)
+            assert math.gcd(num, den) == 1 and den > 0, (f.kind, a, n)
 
 
 def test_validation_errors():

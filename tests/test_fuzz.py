@@ -8,7 +8,9 @@ six crossing coordinates, which no corpus file has, and seeded draws with
 9-10 vertices at genus 2 and 3 go past the hypothesis graphs' 8.  Planar
 graphs with 17-20 vertices and a 20-vertex torus grid go past the oracle's
 default cap of 16.  Handles added to planar graphs with 10-16 vertices
-reach genus 1-3 on graphs larger than any `find_embedding` draw.
+reach genus 1-3 on graphs larger than any `find_embedding` draw, and two
+14-vertex genus-3 handle graphs reach thousands of combine candidates
+without the last slot's per-weight length limit.
 """
 
 import random
@@ -107,3 +109,20 @@ def test_graphs_past_sixteen_vertices_match_oracle():
 def test_handle_graphs_match_oracle(h):
     graphs = [add_handles(random_planar(n, 5, n), h, h) for n in (10, 13, 16)]
     check_against_oracle(graphs, h, cap=20)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_genus3_last_slot_limit_matches_oracle(seed):
+    # without the last slot's per-weight limit these solves scan 2 531 (seed 0)
+    # and 3 570 (seed 3) quotient candidates, 156 and 274 for density, 932 and
+    # 1 808 for the custom profile.  S is the oracle's at these seeds; at seeds
+    # 1, 2, 5 and 6 a density or custom solve returns another side with the
+    # same value and cut size
+    g = add_handles(random_planar(14, 3, seed), 3, seed)
+    ctx = SolveContext(g)
+    assert ctx.genus == 3
+    for f in PROFILES:
+        det = ctx.solve_detailed(f)
+        want = brute_force_cut(g, f).best
+        assert (det.result.value, det.result.S) == (want.value, want.S), f.kind
+        assert det.combine.candidates < 100, f.kind

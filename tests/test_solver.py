@@ -162,11 +162,12 @@ def test_combine_ties_go_to_the_smaller_chain_then_coefficients():
         ({(1, ()): (0,), (2, ()): (2, 4)}, 0, 2, [(1, ())], (1, 0, 0, 0), 4, 2),
         # one dart each at |k| = 1, the second scanned with the smaller coefficients
         ({(-1, ()): (2,), (1, ()): (1,)}, 0, 1, [(1, ())], (-1, 0, 0, 0), 4, 2),
-        # four darts at |k| = 2 (value 8), then a two-walk sum of length 4 that
-        # cancels on edge 0 to size 2 at |k| = 1 (value 8): a sum whose walks
-        # cancel may not win, so the earlier chain, larger, stays
+        # four darts at |k| = 2 (value 8), then a two-walk sum at |k| = 2 whose
+        # length 4 is within best * f(2/4) = 4, so the last slot counts it, and
+        # which cancels on edge 0 to size 2 (value 4): a sum whose walks cancel
+        # may not win, so the earlier chain, larger, stays
         (
-            {(2, (0, 0)): (6, 8, 10, 12), (1, (1, 0)): (0, 2, 4), (0, (-1, 0)): (1,)},
+            {(2, (0, 0)): (6, 8, 10, 12), (2, (1, 0)): (0, 2, 4), (0, (-1, 0)): (1,)},
             1,
             4,
             [(2, (0, 0))],
@@ -196,20 +197,22 @@ def test_combine_ties_go_to_the_smaller_chain_then_coefficients():
 
 
 def test_solve_evaluates_f_once_per_side_size(corpus_contexts, monkeypatch):
-    # a solve calls f at a / n for each a <= n // 2 to fill its balance table,
-    # which U, the depth D and combine all read, and score_cut calls it once
-    # more for the returned cut
+    # a solve evaluates f.ratio at a / n for each a <= n // 2 to fill its
+    # balance table, which U, the depth D and combine all read, and score_cut
+    # calls f once more for the returned cut, which evaluates ratio there
     names = ["star5", "tree7", "apollonian12_del", "k5_torus", "grid33_torus", "series33_g2"]
-    call = BalanceFunction.__call__
+    call, ratio = BalanceFunction.__call__, BalanceFunction.ratio
     calls = []
-    monkeypatch.setattr(BalanceFunction, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    monkeypatch.setattr(BalanceFunction, "__call__", lambda self, x: calls.append(("call", x)) or call(self, x))
+    monkeypatch.setattr(BalanceFunction, "ratio", lambda self, a, n: calls.append(("ratio", a, n)) or ratio(self, a, n))
     for name in names:
         ctx = corpus_contexts[name]
         n = ctx.g.n
         for f in (quotient(), density(), CUSTOM):
             calls.clear()
-            ctx.solve_detailed(f)
-            assert len(calls) == n // 2 + 1, (name, f.kind, calls)
+            x = Fraction(len(ctx.solve_detailed(f).result.S), n)
+            table = [("ratio", a, n) for a in range(1, n // 2 + 1)]
+            assert calls == [*table, ("call", x), ("ratio", x.numerator, x.denominator)], (name, f.kind)
 
 
 # genus-3 draws read at depth 2, name -> index in seeded_multigraphs(3, 8,
@@ -250,17 +253,19 @@ def test_combine_matches_plain_enumeration(name, corpus_contexts):
             k = sum(wk for (wk, _), _ in picked)
             if not 1 <= abs(k) <= n - 1:
                 continue
-            lengths.append(sum(w.length for _, w in picked))
+            lengths.append((sum(w.length for _, w in picked), k))
             chain = IntegerChain(tuple(map(sum, zip(*(w.chain.coeffs for _, w in picked)))))
             key = (Fraction(chain.size) / f(Fraction(abs(k), n)), chain.size, chain.coeffs, k)
             best = key if best is None else min(best, key)
     comb = combine_and_minimize(ctx.cover, ctx.loops, balance_table(f, n), n, m, m)
     assert (comb.value, comb.sigma.coeffs, ctx.weight.values.dot(comb.sigma)) == (best[0], best[2], best[3])
     # the limit on summed walk length starts at m and never drops below
-    # floor(OPT * F), and a sum's chain size is at most its length
+    # floor(OPT * F), the last slot skips a sum only when its length passes
+    # best * f(|k|/n) >= OPT * f(|k|/n), and a sum's chain size is at most its length
     peak = Fraction(*balance_table(f, n)[n // 2])
     floor_limit = min(m, math.floor(best[0] * peak))
-    assert sum(1 for x in lengths if x <= floor_limit) <= comb.candidates <= len(lengths)
+    never_skipped = sum(1 for x, k in lengths if x <= floor_limit and x <= best[0] * f(Fraction(abs(k), n)))
+    assert never_skipped <= comb.candidates <= len(lengths)
 
 
 @pytest.mark.parametrize("name", ["p4", "c6", "k4", "apollonian7"])
