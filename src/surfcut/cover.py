@@ -12,19 +12,14 @@ depth-D table is the walks of at most D darts of any deeper table.
 
 A dart's weight is a subtree size, at most n - 1, and each loop crosses an
 edge at most once, so walks of at most D darts keep k and v inside a box:
-|k| <= K = D (n - 1) and |v_j| <= D.  A state is then one int,
-face + q * scale, and q is the tag in mixed radix, digits from the lowest:
-v_2g + D, ..., v_1 + D, k + K.  A usable run's scale is the power of two
-2^s with s = (faces - 1).bit_length(), so the face is a bit field below q
-and the usable test reads q's guard bits on the state itself.  Other runs
-take scale = faces: their states are then dense ints, which fill a dict's
-slots evenly, where a power-of-two field slowed the genus-0 cover.  A dart
-moves every state by the same precomputed int.  q = state // scale orders
-states as their tags (k, v) sort, so sorting the closed states' q puts
-the table in tag order.  One BFS runs per start dart d0, using only darts
->= d0: every closed walk has a rotation starting at its smallest dart.
-The minimum-face rule (Johnson 1975) would prune more, but it finds a
-different member of a tie and so changes the stored darts.
+|k| <= K = D (n - 1) and |v_j| <= D.  A state is then one int in mixed
+radix, digits from the lowest: face, v_2g + D, ..., v_1 + D, k + K, and a
+dart moves every state by the same precomputed int.  q = state // faces
+orders states as their tags (k, v) sort, so sorting the closed states'
+ints puts the table in tag order.  One BFS runs per start dart d0, using
+only darts >= d0: every closed walk has a rotation starting at its
+smallest dart.  The minimum-face rule (Johnson 1975) would prune more, but
+it finds a different member of a tie and so changes the stored darts.
 
 Each run prunes with an admissible bound, as in A* (Hart, Nilsson & Raphael
 1968).  With dist(u) the fewest darts >= d0 from face u back to the start
@@ -54,7 +49,7 @@ way to combine.  The v digits use a power-of-two radix R above
 4 (g + 1) D, not the 2 D + 1 the box needs.  So the v part of q, less its
 offsets, is v packed as an int in which a sum of at most g + 1 walks never
 carries, and each digit's field has a guard bit, R / 2, that lets a usable
-run test every |v_j| <= D - l with two adds to the state and two masks.
+run test every |v_j| <= D - l with two adds and two masks.
 CoverResult.by_length reads k and that packed v off q, orders the walks by
 length in buckets filled in q order, and holds a slot per walk for its
 chain coefficients, filled when a sum first uses the walk.  Only the dump,
@@ -217,26 +212,23 @@ def shortest_tagged_walks(
         abs(x) > 1 for loop in system.loops for x in loop.coeffs
     ):
         raise AssertionError("covering state escaped its analytic bounds")
-    # the tag digits of q = s // scale, as tag_layout packs them: high_first
+    # the tag digits of q = s // faces, as tag_layout packs them: high_first
     # holds their place values in q, k's first, then v_1 .. v_2g
     genus = system.genus
     radix, place, k_bound, ones = tag_layout(n, genus, depth)
     high_first = [place] + [radix**j for j in reversed(range(2 * genus))]
     origin_q = k_bound * place + depth * ones
+    offset = faces * origin_q
     usable = usable and genus > 0
-    # a state is face + q * scale: a power-of-two face field where the guard
-    # test reads the state, else dense states (module docstring)
-    scale = 1 << (faces - 1).bit_length() if usable else faces
-    offset = origin_q * scale
-    # guard: the top bit, R / 2, of each v digit's field, at its place in a state
-    half = radix >> 1
-    guard = half * ones * scale
+    # q & vmask is the v part of q, and guard the top bit, R / 2, of each digit's field
+    vmask, half = place - 1, radix >> 1
+    guard = half * ones
     # dart 2e moves the state by its face change plus its moves of k and
     # v_1 .. v_2g, its edge's coefficients; its twin moves it back
     step = [0] * nd
     for e, tag_move in enumerate(zip(w.values.coeffs, *(loop.coeffs for loop in system.loops))):
         d = 2 * e
-        step[d] = heads[d] - tails[d] + sum(map(mul, high_first, tag_move)) * scale
+        step[d] = heads[d] - tails[d] + faces * sum(map(mul, high_first, tag_move))
         step[d + 1] = -step[d]
     # after[d]: (step, dart, head face) for the darts leaving heads[d] that the
     # current run may use, ascending, less the twin d ^ 1; the origin, visited
@@ -247,7 +239,7 @@ def shortest_tagged_walks(
     for d in range(nd):
         into[heads[d]].append(tails[d])
 
-    # a closed state s at the start face t0 has tag digits q = s // scale,
+    # a closed state s at the start face t0 has tag digits q = s // faces,
     # the same int in every run, so best is keyed by q
     best = {origin_q: ()}
     unreachable = depth + 1
@@ -276,10 +268,8 @@ def shortest_tagged_walks(
         while frontier:
             budget = depth - level
             if usable:
-                # every |v_j| <= budget iff adding `over` sets no guard bit and `under`
-                # sets all; the face field below `scale` neither reaches nor carries into them
-                over = (half - 1 - depth - budget) * ones * scale
-                under = (half - depth + budget) * ones * scale
+                # every |v_j| <= budget iff adding `over` sets no guard bit and `under` sets all
+                over, under = (half - 1 - depth - budget) * ones, (half - depth + budget) * ones
             nxt = []
             for s in frontier:
                 for st, d, h in after[visited[s]]:
@@ -287,13 +277,15 @@ def shortest_tagged_walks(
                     if ns in visited:
                         continue
                     visited[ns] = d
-                    if usable and ((ns + over) & guard or (ns + under) & guard != guard):
-                        continue
+                    if usable:
+                        qv = ns // faces & vmask
+                        if (qv + over) & guard or (qv + under) & guard != guard:
+                            continue
                     if h == t0:
                         # a closed walk of `level` darts; a walk stored by an earlier
                         # run starts with a smaller dart, and one run reaches each tag
                         # at most once, so at equal length the stored walk sorts first
-                        q = ns // scale
+                        q = ns // faces
                         cur = best.get(q)
                         if cur is None or level < len(cur):
                             darts = []

@@ -11,21 +11,19 @@ the best known side of each size, and single-vertex moves improve those
 sides until no size's cut falls.  These fewest cut edges per side size
 depend only on the graph and are found once per context, and U >= OPT, as
 U is a real cut's value.  U, F and combine read one table of f per solve,
-f(a/n) as an integer pair for each side size a, and compare values in
-integers, cross-multiplied; only U and the winner become Fractions.  The
-solve reads the walk table only to depth D = min(m, floor(U * F)), and
-scans sums of at most genus+1 tagged walks whose crossing vectors cancel:
-one pass over the walks sorted by length, cut off where the length passes
-floor(best * F) for the best value found so far, with the last walk of each
-sum looked up by the crossing vector that cancels the rest and skipped when
-the sum's length passes best * f(|k|/n) at the sum's own weight k.  The
-table keys each walk by its tag packed into one int, and the
-crossing-vector part of that int sums over g + 1 walks without carries, so
-summing crossing vectors is adding ints; sums are coefficient tuples
-scored in integers, and only the winner becomes an IntegerChain.  The
-sorted list, its lookup and the walk coefficients do not depend on f, so
-each walk table holds them once, and the solves that read one table share
-them.
+f(a/n) as an integer pair for each side size a.  The solve reads the walk
+table only to depth D = min(m, floor(U * F)), and scans sums of at most
+genus+1 tagged walks whose crossing vectors cancel: one pass over the walks
+sorted by length, cut off where the length passes floor(best * F) for the
+best value found so far, with the last walk of each sum looked up by the
+crossing vector that cancels the rest and skipped when the sum's length
+passes best * f(|k|/n) at the sum's own weight k.  The table keys each walk
+by its tag packed into one int, and the crossing-vector part of that int
+sums over g + 1 walks without carries, so summing crossing vectors is
+adding ints; sums are coefficient tuples scored in integers, and only the
+winner becomes a Fraction and an IntegerChain.  The sorted list, its lookup
+and the walk coefficients do not depend on f, so each walk table holds
+them once, and the solves that read one table share them.
 The best chain becomes a vertex cut by thresholding a potential function,
 which can only improve the score.  The two values must agree at the
 optimum, and the cut must score no worse than U; the solver checks both.
@@ -413,16 +411,8 @@ class SolveContext:
         return fewest_cut_edges(self.g, self.weight)
 
     def upper_bound(self, table: list[tuple[int, int] | None]) -> Fraction:
-        """U, the least cut / f(k/n) over the cached fewest cut edges, read off balance_table(f, n).
-
-        The values compare in integers, as a pair top / bottom, first 1 / 0;
-        only U itself becomes a Fraction."""
-        top, bottom = 1, 0
-        for k, (cut, _) in self.fewest_cut_edges.items():
-            num, den = table[k]
-            if cut * den * bottom < top * num:
-                top, bottom = cut * den, num
-        return Fraction(top, bottom)
+        """U, the least cut / f(k/n) over the cached fewest cut edges, read off balance_table(f, n)."""
+        return min(Fraction(cut * table[k][1], table[k][0]) for k, (cut, _) in self.fewest_cut_edges.items())
 
     def walk_table(self, depth: int) -> CoverResult:
         """The context's walk table, first built to `depth`, usable, if it is shallower."""
