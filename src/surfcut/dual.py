@@ -63,16 +63,29 @@ def build_dual(g: EmbeddedGraph, faces: FaceStructure) -> EmbeddedGraph:
     facial walks of the dual into the vertex stars of the primal, which is
     what makes the dual of the dual the original map (with all darts
     reversed).
+
+    The result equals the EmbeddedGraph its constructor would build, loops
+    allowed, but skips the constructor's validation, as every check follows
+    from the validated primal and its traced faces: face ids are in range;
+    heads[d] = face_of[d ^ 1] = tails[d ^ 1]; the rotation is phi^-1, with
+    phi(d) = rotation[d ^ 1] the face permutation, so it is a permutation
+    that keeps each dart on its own face, with one orbit per face; and the
+    dual of a connected map is connected.
     """
     nd = g.num_darts
-    tails = tuple(faces.face_of[d] for d in range(nd))
-    heads = tuple(faces.face_of[d ^ 1] for d in range(nd))
+    face_of = faces.face_of
     phi_inv = [0] * nd
     for d in range(nd):
         phi_inv[g.rotation[d ^ 1]] = d
-    return EmbeddedGraph(
-        n=faces.face_count, tails=tails, heads=heads, rotation=tuple(phi_inv), allow_loops=True
+    dual = object.__new__(EmbeddedGraph)
+    dual.__dict__.update(
+        n=faces.face_count,
+        tails=face_of,
+        heads=tuple(face_of[d ^ 1] for d in range(nd)),
+        rotation=tuple(phi_inv),
+        allow_loops=True,
     )
+    return dual
 
 
 def cut_chain(g: EmbeddedGraph, S) -> IntegerChain:

@@ -70,19 +70,27 @@ class CutResult:
 
 
 def score_cut(g: EmbeddedGraph, S, f: BalanceFunction) -> CutResult:
-    """Score a nonempty proper subset of the vertices as a cut, else ValueError."""
+    """Score a nonempty proper subset of the vertices as a cut, else ValueError.
+
+    `_cut_result` builds the fields, here and for recover_cut's winner.
+    """
     side = set(S)
     size = cut_chain(g, side).size
     if 0 not in side:
         side = set(range(g.n)) - side
-    k = len(side)
-    small = min(k, g.n - k)
+    return _cut_result(g.n, tuple(sorted(side)), size, f)
+
+
+def _cut_result(n: int, S: tuple[int, ...], cut_size: int, f: BalanceFunction) -> CutResult:
+    """The CutResult of side S, sorted and holding vertex 0, with cut_size edges; one f call."""
+    k = len(S)
+    small = min(k, n - k)
     return CutResult(
-        S=tuple(sorted(side)),
-        cut_size=size,
-        balance=Fraction(small, g.n),
-        value=Fraction(size) / f(Fraction(k, g.n)),
-        expansion=Fraction(size, small),
+        S=S,
+        cut_size=cut_size,
+        balance=Fraction(small, n),
+        value=Fraction(cut_size) / f(Fraction(k, n)),
+        expansion=Fraction(cut_size, small),
     )
 
 
@@ -102,17 +110,20 @@ def fewest_cut_edges(g: EmbeddedGraph, w: WeightFunction) -> dict[int, tuple[int
     A side is a bit mask of its vertices.  The seeds are the n - 1 subtree
     sides of the tree of the weight w and the BFS balls: from every vertex
     r, the first k vertices of the BFS from r, k = 1 .. n-1 (k = 1 gives
-    the single-vertex sides).  Then single-vertex moves improve each size's
-    side, as in Fiduccia and Mattheyses (1982): adding v to S changes its
-    cut by deg(v) - 2 e(v, S), where e(v, S) counts the edges between v and
-    S, parallel ones included, and removing v changes it by the negative of
-    that.  Every move of a size's side is tried on the entry of the size it
-    reaches (sizes stay within 1 .. n-1), and a side is moved again
-    whenever its entry improves, until none does.  Each improvement lowers
-    a non-negative integer, so this stops.  Every entry is the cut of its
-    side, so U, the best value among them, is at least OPT.  None of this
-    depends on f, and f is symmetric, so a side and its complement share
-    one entry.
+    the single-vertex sides).  Each BFS grows on bit masks: a vertex it
+    scans adds its unseen neighbours, read off the first layer of
+    `neighbour_masks`, in the order of its darts, and a vertex whose
+    neighbours are all seen costs no dart scan.  Then single-vertex moves
+    improve each size's side, as in Fiduccia and Mattheyses (1982): adding
+    v to S changes its cut by deg(v) - 2 e(v, S), where e(v, S) counts the
+    edges between v and S, parallel ones included, and removing v changes
+    it by the negative of that.  Every move of a size's side is tried on
+    the entry of the size it reaches (sizes stay within 1 .. n-1), and a
+    side is moved again whenever its entry improves, until none does.  Each
+    improvement lowers a non-negative integer, so this stops.  Every entry
+    is the cut of its side, so U, the best value among them, is at least
+    OPT.  None of this depends on f, and f is symmetric, so a side and its
+    complement share one entry.
     """
     n, half = g.n, g.n // 2
     full = (1 << n) - 1
@@ -154,6 +165,8 @@ def fewest_cut_edges(g: EmbeddedGraph, w: WeightFunction) -> dict[int, tuple[int
     # vertices scanned before v.  ball[k]: the fewest cut edges of a k-ball,
     # folded into the entries after the last root.
     heads = [[g.heads[d] for d in ds] for ds in g.out_darts]
+    first = [masks[0] for masks in nbr]
+    rest = [masks[1:] for masks in nbr]
     ball = [g.m + 1] * n
     ball_side = [0] * n
     for r in range(n):
@@ -161,12 +174,16 @@ def fewest_cut_edges(g: EmbeddedGraph, w: WeightFunction) -> dict[int, tuple[int
         S = cut = 0
         for k in range(1, n):
             v = order[k - 1]
-            for u in heads[v]:
-                if not seen >> u & 1:
-                    seen |= 1 << u
-                    order.append(u)
-            cut += deg[v]
-            for mask in nbr[v]:
+            adj = first[v]
+            new = adj & ~seen
+            if new:
+                seen |= new
+                for u in heads[v]:
+                    if new >> u & 1:
+                        order.append(u)
+                        new ^= 1 << u
+            cut += deg[v] - 2 * (S & adj).bit_count()
+            for mask in rest[v]:
                 cut -= 2 * (S & mask).bit_count()
             S |= 1 << v
             if cut < ball[k]:
@@ -321,34 +338,66 @@ def recover_cut(g: EmbeddedGraph, sigma: IntegerChain, f: BalanceFunction) -> Cu
     The chain must satisfy coeff(a -> b) = lam(a) - lam(b) for a potential
     lam, which is checked.  Level sets {lam >= i} then decompose the chain,
     and the cheapest level is at most as expensive as the chain itself.
+    With lam shifted to start at 0, one pass over the edges counts every
+    level's cut: an edge whose ends sit at lam values lo < hi is cut by the
+    levels lo + 1 .. hi.  Levels compare by value, cross-multiplied with
+    one f.ratio pair each, then by cut size, then by the side holding
+    vertex 0: the `CutResult.sort_key` order.  A side is listed only to
+    break a tie, and only the winner is scored as score_cut scores a side.
     """
     if sigma.is_zero:
         raise ValueError("cannot recover a cut from the zero chain")
-    lam = [None] * g.n
+    n, coeffs, heads = g.n, sigma.coeffs, g.heads
+    lam = [None] * n
     lam[0] = 0
     stack = [0]
     while stack:
         a = stack.pop()
         for d in g.out_darts[a]:
-            b = g.heads[d]
-            want = lam[a] - sigma.dart_coeff(d)
+            c = coeffs[d >> 1]
+            want = lam[a] + (c if d & 1 else -c)
+            b = heads[d]
             if lam[b] is None:
                 lam[b] = want
                 stack.append(b)
             elif lam[b] != want:
                 raise SolverError("chain is not a potential difference, cannot recover a cut")
     low = min(lam)
-    lam = [x - low + 1 for x in lam]
-    top = max(lam)
-    if top == 1:
+    lam = [x - low for x in lam]
+    span = max(lam)
+    if span == 0:
         raise SolverError("potential is constant for a nonzero chain")
-    best = None
-    for level in range(2, top + 1):
-        S = [v for v in range(g.n) if lam[v] >= level]
-        cand = score_cut(g, S, f)
-        if best is None or cand.sort_key < best.sort_key:
-            best = cand
-    return best
+    # at_level[i]: the vertices at lam i; delta[i]: the edges cut by level i
+    # less those cut by level i - 1
+    at_level = [0] * (span + 1)
+    for x in lam:
+        at_level[x] += 1
+    delta = [0] * (span + 2)
+    tails = g.tails
+    for e, c in enumerate(coeffs):
+        if c:
+            a = lam[tails[2 * e]]
+            lo, hi = (a - c, a) if c > 0 else (a, a - c)
+            delta[lo + 1] += 1
+            delta[hi + 1] -= 1
+
+    def side(level: int) -> tuple[int, ...]:
+        inside = lam[0] >= level
+        return tuple(v for v in range(n) if (lam[v] >= level) == inside)
+
+    top, bottom, best_cut, best_level = 1, 0, 0, 0
+    cut, k = 0, n
+    for level in range(1, span + 1):
+        cut += delta[level]
+        k -= at_level[level - 1]
+        num, den = f.ratio(k, n)
+        # cut / f(k / n) = cut * den / num, against the best value top / bottom
+        here, there = cut * den * bottom, top * num
+        if here < there or here == there and (
+            cut < best_cut or cut == best_cut and side(level) < side(best_level)
+        ):
+            top, bottom, best_cut, best_level = cut * den, num, cut, level
+    return _cut_result(n, side(best_level), best_cut, f)
 
 
 @dataclass

@@ -1,16 +1,19 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
+from graph_families import handle_rows
+from test_fuzz import seeded_multigraphs
 
 from surfcut.construct import (
     banana_edges,
     complete_edges,
     cycle_edges,
     find_embedding,
+    grid_torus,
     random_planar,
 )
 from surfcut.dual import IntegerChain, build_dual, cut_chain, walk_coeffs
-from surfcut.embedding import genus, trace_faces
+from surfcut.embedding import EmbeddedGraph, genus, trace_faces
 
 
 def dual_face_vertex(g, dual):
@@ -109,3 +112,25 @@ def test_random_planar_duals_stay_planar(seed):
     dual = build_dual(g, trace_faces(g))
     assert genus(dual) == 0
     assert trace_faces(dual).face_count == g.n
+
+
+def test_dual_equals_its_validated_twin(corpus_graphs):
+    # build_dual skips the constructor's checks; the constructor, run here on
+    # the same fields, must accept them and give an equal graph.  The graphs:
+    # the corpus, random planar ones, torus grids, the handle rows and the
+    # seeded genus-2 and genus-3 multigraphs
+    graphs = [
+        *corpus_graphs.values(),
+        *(random_planar(n, d, n + d) for n in range(10, 21) for d in range(5)),
+        *(grid_torus(p, q) for p in range(3, 6) for q in range(3, 6)),
+        *handle_rows().values(),
+        *seeded_multigraphs(2, 6, seed=2),
+        *seeded_multigraphs(3, 4, seed=3),
+    ]
+    for g in graphs:
+        dual = build_dual(g, trace_faces(g))
+        # the dual of the dual starts from a graph with loops
+        for h in (dual, build_dual(dual, trace_faces(dual))):
+            twin = EmbeddedGraph(n=h.n, tails=h.tails, heads=h.heads, rotation=h.rotation, allow_loops=True)
+            assert h == twin, (g.n, g.m)
+            assert all(type(x) is tuple for x in (h.tails, h.heads, h.rotation))

@@ -1,6 +1,7 @@
 """Smoke tests of the corpus scripts, whose outputs compare two versions of surfcut."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +97,25 @@ def test_bench_pairs_summary_on_fixed_numbers():
     rows = bench_pairs.summarize(parent[:1] * 10, [{**change[0], "cuts": 6.0}] * 10, {"cuts": False})
     assert [r["claim"] for r in rows] == [True, False, True]
     assert len(bench_pairs.format_rows(rows)) == 4
+
+
+def test_bench_counters_repeat(tmp_path):
+    # two runs on two corpus files: the same counters, and --diff finds no drift
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        subprocess.run(
+            [sys.executable, str(SCRIPTS / "bench.py"), "--only", "corpus:k4", "corpus:k5_torus",
+             "--repeats", "2", "--out", str(out)],
+            capture_output=True, text=True, check=True,
+        )
+    first, second = (json.loads(out.read_text(encoding="utf-8")) for out in outs)
+    counters = [[(row["name"], row["counters"]) for row in report["instances"]] for report in (first, second)]
+    assert counters[0] == counters[1] == [
+        ("corpus:k4", {"D": [4], "cover_states": 70, "tags": 7, "candidates": 6}),
+        ("corpus:k5_torus", {"D": [6], "cover_states": 1009, "tags": 57, "candidates": 30}),
+    ]
+    assert all(list(row["times_s"]) == first["stages"] for row in first["instances"])
+    diff = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), "--diff", *map(str, outs)], capture_output=True, text=True
+    )
+    assert diff.returncode == 0 and "counters differ" not in diff.stdout
