@@ -1,11 +1,11 @@
 """Stage times and counters of surfcut solves over a fixed ladder of instances.
 
 Usage:
-    python3 scripts/bench.py [--src DIR] [--out FILE] [--repeats 7] [--seed 201] [--only NAME ...]
+    python3 scripts/bench.py [--src DIR] [--out FILE] [--only NAME ...]
     python3 scripts/bench.py --diff PARENT.json CHANGE.json
 
 The ladder:
-  * the inputs of perfbench's three workloads at --seed: each graph gets one
+  * the inputs of perfbench's three workloads at seed 201: each graph gets one
     context and is solved for the balance functions its workload asks of it
     (oracle-cli's brute force and walk dump are left out);
   * the 35 corpus files, quotient;
@@ -17,8 +17,8 @@ weight+loops, U (the fewest cut edges per side size), then, summed over the
 instance's balance functions, the cover, combine and recover calls that
 `solve_detailed` makes, which the script wraps by name in the solver
 module.  The JSON written to --out (default BENCH_33.json in the
-repository root) holds, per instance, each stage's median over the
-repeats and the counters: D per solve, and summed over the instance's
+repository root) holds, per instance, each stage's median over 7 repeats
+and the counters: D per solve, and summed over the instance's
 solves, the cover states, tags and combine candidates.  The counters must
 repeat exactly across the repeats, or the script stops with exit 1.
 --src loads surfcut from another checkout's `src`, so two checkouts run
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import os
 import platform
@@ -42,24 +43,22 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 201
+REPEATS = 7
 STAGES = ("faces+dual", "weight+loops", "U", "cover", "combine", "recover")
 # the solver calls solve_detailed makes, by the stage they time
 WRAPPED = {"cover": "shortest_tagged_walks", "combine": "combine_and_minimize", "recover": "recover_cut"}
 
 
-def load(src: Path) -> tuple[dict, object]:
-    """The surfcut modules loaded from `src`, and perfbench's workloads module."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
+def perfbench_workloads():
+    """perfbench's workloads module, with `perfbench/` put on the import path."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.append(str(ROOT / "perfbench"))
+    return importlib.import_module("workloads")
 
-    return workloads.load_surfcut(src), workloads
 
-
-def ladder(mods: dict, workloads, seed: int, workdir: Path) -> tuple[list, dict]:
-    """(name, group, graph, balance specs) for every rung, and spec -> balance function."""
-    make = mods["balance"].make_balance
-    fs = {name: make(name) for name in ("quotient", "density", "expansion")}
-    fs["custom"] = mods["balance"].parse_custom(workloads.CUSTOM_TEXT)
+def workload_rungs(mods: dict, workloads, seed: int, workdir: Path) -> list:
+    """(name, workload, graph, balance specs) for every instance of the three workloads at `seed`."""
     rungs = []
     for name, workload in workloads.WORKLOADS.items():
         instances = workload.setup(mods, seed, workdir).instances
@@ -68,6 +67,15 @@ def ladder(mods: dict, workloads, seed: int, workdir: Path) -> tuple[list, dict]
             # oracle-cli's graph i is solved for f[i % 3]; the other workloads solve each graph for all
             specs = [wanted[i % len(wanted)]] if name == "oracle-cli" else wanted
             rungs.append((f"{name}:{i}", name, inst.graph, specs))
+    return rungs
+
+
+def ladder(mods: dict, workloads, workdir: Path) -> tuple[list, dict]:
+    """(name, group, graph, balance specs) for every rung, and spec -> balance function."""
+    make = mods["balance"].make_balance
+    fs = {name: make(name) for name in ("quotient", "density", "expansion")}
+    fs["custom"] = mods["balance"].parse_custom(workloads.CUSTOM_TEXT)
+    rungs = workload_rungs(mods, workloads, SEED, workdir)
     parse = mods["embedding"].parse_embedding
     for item in json.loads((ROOT / "corpus" / "manifest.json").read_text(encoding="utf-8")):
         g = parse((ROOT / "corpus" / item["file"]).read_text(encoding="utf-8"))
@@ -127,11 +135,11 @@ def time_once(solver, g, fs: list) -> tuple[dict, dict]:
     return times, counters
 
 
-def bench(mods: dict, rungs: list, fs: dict, repeats: int) -> list[dict]:
+def bench(mods: dict, rungs: list, fs: dict) -> list[dict]:
     rows = []
     for name, group, g, specs in rungs:
         runs = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             gc.collect()
             runs.append(time_once(mods["solver"], g, [fs[spec] for spec in specs]))
         counters = runs[0][1]
@@ -178,28 +186,25 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="the src directory to load surfcut from")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_33.json")
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=201, help="the seed of the workloads' inputs")
     ap.add_argument("--only", nargs="+", metavar="NAME", help="keep only these instances")
     ap.add_argument("--diff", nargs=2, type=Path, metavar=("PARENT", "CHANGE"))
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    mods, workloads = load(args.src)
+    workloads = perfbench_workloads()
+    mods = workloads.load_surfcut(args.src)
     with tempfile.TemporaryDirectory() as workdir:
-        rungs, fs = ladder(mods, workloads, args.seed, Path(workdir))
+        rungs, fs = ladder(mods, workloads, Path(workdir))
     if args.only:
         missing = set(args.only) - {name for name, *_ in rungs}
         if missing:
             ap.error(f"no such instances: {sorted(missing)}")
         rungs = [rung for rung in rungs if rung[0] in args.only]
     print(f"{'instance':<28} " + " ".join(f"{s[:8]:>8}" for s in STAGES) + "   (ms, median)", flush=True)
-    rows = bench(mods, rungs, fs, args.repeats)
+    rows = bench(mods, rungs, fs)
     report = {
         "python": platform.python_version(), "machine": platform.machine(), "system": platform.system(),
-        "cpus": os.cpu_count(), "seed": args.seed, "repeats": args.repeats,
+        "cpus": os.cpu_count(), "seed": SEED, "repeats": REPEATS,
         "stages": list(STAGES), "totals_s": totals(rows), "instances": rows,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

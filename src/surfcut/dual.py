@@ -65,8 +65,9 @@ def build_dual(g: EmbeddedGraph, faces: FaceStructure) -> EmbeddedGraph:
     reversed).
 
     The result equals the EmbeddedGraph its constructor would build, loops
-    allowed, but skips the constructor's validation, as every check follows
-    from the validated primal and its traced faces: face ids are in range;
+    allowed, but `EmbeddedGraph._unchecked` builds it without the
+    constructor's validation, as every check follows from the validated
+    primal and its traced faces: face ids are in range;
     heads[d] = face_of[d ^ 1] = tails[d ^ 1]; the rotation is phi^-1, with
     phi(d) = rotation[d ^ 1] the face permutation, so it is a permutation
     that keeps each dart on its own face, with one orbit per face; and the
@@ -77,15 +78,13 @@ def build_dual(g: EmbeddedGraph, faces: FaceStructure) -> EmbeddedGraph:
     phi_inv = [0] * nd
     for d in range(nd):
         phi_inv[g.rotation[d ^ 1]] = d
-    dual = object.__new__(EmbeddedGraph)
-    dual.__dict__.update(
+    return EmbeddedGraph._unchecked(
         n=faces.face_count,
         tails=face_of,
         heads=tuple(face_of[d ^ 1] for d in range(nd)),
         rotation=tuple(phi_inv),
         allow_loops=True,
     )
-    return dual
 
 
 def cut_chain(g: EmbeddedGraph, S) -> IntegerChain:

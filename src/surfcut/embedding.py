@@ -114,6 +114,17 @@ class EmbeddedGraph:
         if len(bfs_tree(self, self.tails[0])[1]) != self.n:
             raise EmbeddingError("graph is not connected")
 
+    @classmethod
+    def _unchecked(cls, n: int, tails, heads, rotation, allow_loops: bool = False) -> EmbeddedGraph:
+        """The graph the constructor builds from these fields, without `_validate`.
+
+        Only for fields valid by construction, such as the dual of a
+        validated map; `__post_init__` does nothing but validate.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, tails=tails, heads=heads, rotation=rotation, allow_loops=allow_loops)
+        return g
+
 
 def bfs_tree(g: EmbeddedGraph, root: int, skip: frozenset[int] = frozenset()):
     """Deterministic BFS tree: FIFO queue, darts scanned in ascending id.

@@ -70,27 +70,19 @@ class CutResult:
 
 
 def score_cut(g: EmbeddedGraph, S, f: BalanceFunction) -> CutResult:
-    """Score a nonempty proper subset of the vertices as a cut, else ValueError.
-
-    `_cut_result` builds the fields, here and for recover_cut's winner.
-    """
+    """Score a nonempty proper subset of the vertices as a cut, else ValueError."""
     side = set(S)
     size = cut_chain(g, side).size
     if 0 not in side:
         side = set(range(g.n)) - side
-    return _cut_result(g.n, tuple(sorted(side)), size, f)
-
-
-def _cut_result(n: int, S: tuple[int, ...], cut_size: int, f: BalanceFunction) -> CutResult:
-    """The CutResult of side S, sorted and holding vertex 0, with cut_size edges; one f call."""
-    k = len(S)
-    small = min(k, n - k)
+    k = len(side)
+    small = min(k, g.n - k)
     return CutResult(
-        S=S,
-        cut_size=cut_size,
-        balance=Fraction(small, n),
-        value=Fraction(cut_size) / f(Fraction(k, n)),
-        expansion=Fraction(cut_size, small),
+        S=tuple(sorted(side)),
+        cut_size=size,
+        balance=Fraction(small, g.n),
+        value=Fraction(size) / f(Fraction(k, g.n)),
+        expansion=Fraction(size, small),
     )
 
 
@@ -338,66 +330,34 @@ def recover_cut(g: EmbeddedGraph, sigma: IntegerChain, f: BalanceFunction) -> Cu
     The chain must satisfy coeff(a -> b) = lam(a) - lam(b) for a potential
     lam, which is checked.  Level sets {lam >= i} then decompose the chain,
     and the cheapest level is at most as expensive as the chain itself.
-    With lam shifted to start at 0, one pass over the edges counts every
-    level's cut: an edge whose ends sit at lam values lo < hi is cut by the
-    levels lo + 1 .. hi.  Levels compare by value, cross-multiplied with
-    one f.ratio pair each, then by cut size, then by the side holding
-    vertex 0: the `CutResult.sort_key` order.  A side is listed only to
-    break a tie, and only the winner is scored as score_cut scores a side.
     """
     if sigma.is_zero:
         raise ValueError("cannot recover a cut from the zero chain")
-    n, coeffs, heads = g.n, sigma.coeffs, g.heads
-    lam = [None] * n
+    lam = [None] * g.n
     lam[0] = 0
     stack = [0]
     while stack:
         a = stack.pop()
         for d in g.out_darts[a]:
-            c = coeffs[d >> 1]
-            want = lam[a] + (c if d & 1 else -c)
-            b = heads[d]
+            b = g.heads[d]
+            want = lam[a] - sigma.dart_coeff(d)
             if lam[b] is None:
                 lam[b] = want
                 stack.append(b)
             elif lam[b] != want:
                 raise SolverError("chain is not a potential difference, cannot recover a cut")
     low = min(lam)
-    lam = [x - low for x in lam]
-    span = max(lam)
-    if span == 0:
+    lam = [x - low + 1 for x in lam]
+    top = max(lam)
+    if top == 1:
         raise SolverError("potential is constant for a nonzero chain")
-    # at_level[i]: the vertices at lam i; delta[i]: the edges cut by level i
-    # less those cut by level i - 1
-    at_level = [0] * (span + 1)
-    for x in lam:
-        at_level[x] += 1
-    delta = [0] * (span + 2)
-    tails = g.tails
-    for e, c in enumerate(coeffs):
-        if c:
-            a = lam[tails[2 * e]]
-            lo, hi = (a - c, a) if c > 0 else (a, a - c)
-            delta[lo + 1] += 1
-            delta[hi + 1] -= 1
-
-    def side(level: int) -> tuple[int, ...]:
-        inside = lam[0] >= level
-        return tuple(v for v in range(n) if (lam[v] >= level) == inside)
-
-    top, bottom, best_cut, best_level = 1, 0, 0, 0
-    cut, k = 0, n
-    for level in range(1, span + 1):
-        cut += delta[level]
-        k -= at_level[level - 1]
-        num, den = f.ratio(k, n)
-        # cut / f(k / n) = cut * den / num, against the best value top / bottom
-        here, there = cut * den * bottom, top * num
-        if here < there or here == there and (
-            cut < best_cut or cut == best_cut and side(level) < side(best_level)
-        ):
-            top, bottom, best_cut, best_level = cut * den, num, cut, level
-    return _cut_result(n, side(best_level), best_cut, f)
+    best = None
+    for level in range(2, top + 1):
+        S = [v for v in range(g.n) if lam[v] >= level]
+        cand = score_cut(g, S, f)
+        if best is None or cand.sort_key < best.sort_key:
+            best = cand
+    return best
 
 
 @dataclass

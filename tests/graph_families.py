@@ -4,19 +4,19 @@
 `add_handles(random_planar(n, 5, 2), h, 7)`, of genus h, and G14(s) is
 `add_handles(random_planar(14, 3, s), 3, s)`, n 14 and genus 3.
 `workload_graphs` draws the graphs of the benchmark's three workloads at a
-seed, through `perfbench/workloads.py`, with the surfcut modules already
-loaded, so the tests and the benchmark solve the same inputs.
+seed through `scripts/bench.py`'s `workload_rungs`, with the surfcut
+modules already loaded, so the tests and the stage bench solve the same
+inputs.
 """
 
 from __future__ import annotations
 
-import importlib
-import sys
+import importlib.util
 from pathlib import Path
 
 from surfcut.construct import add_handles, random_planar
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 H_ROWS = ((60, 1), (100, 1), (30, 2), (20, 3), (30, 3), (16, 4))
 
 
@@ -28,12 +28,9 @@ def handle_rows() -> dict:
 
 def workload_graphs(seed: int, workdir: Path) -> dict:
     """name -> graph for every instance of the three workloads at `seed`; workdir takes their files."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.append(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    workloads = bench.perfbench_workloads()
     mods = {name: importlib.import_module(f"surfcut.{name}") for name in workloads.MODULES}
-    graphs = {}
-    for name, workload in workloads.WORKLOADS.items():
-        inputs = workload.setup(mods, seed, workdir)
-        graphs.update({f"{name}:{seed}:{i}": inst.graph for i, inst in enumerate(inputs.instances)})
-    return graphs
+    return {f"{name}:{seed}": g for name, _, g, _ in bench.workload_rungs(mods, workloads, seed, workdir)}

@@ -1,15 +1,11 @@
-"""The solver's U search and cut recovery as they were before their fast paths.
+"""The solver's U search as it was before its BFS balls grew on bit masks.
 
 `fewest_cut_edges` grows each root's BFS by scanning every dart of every
-vertex it reaches, and `recover_cut` scores each level set of the
-potential with `score_cut`, one cut chain and four Fractions per level.
-The solver's versions must give the same table and the same CutResult;
-these are kept only for the differential tests.
+vertex it reaches.  The solver's version must give the same table and
+sides; this one is kept only for the differential test.
 """
 
 from __future__ import annotations
-
-from surfcut.solver import SolverError, score_cut
 
 
 def fewest_cut_edges(g, w) -> dict[int, tuple[int, int]]:
@@ -78,28 +74,3 @@ def fewest_cut_edges(g, w) -> dict[int, tuple[int, int]]:
             if after < cuts[min(size, n - size)]:
                 todo.add(keep(size, after, S ^ 1 << v))
     return {k: (cuts[k], sides[k]) for k in range(1, half + 1)}
-
-
-def level_sets(g, sigma) -> list[list[int]]:
-    """The sets {lam >= i} for i = 2 .. max lam, with lam the chain's potential shifted to start at 1."""
-    lam = [None] * g.n
-    lam[0] = 0
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for d in g.out_darts[a]:
-            b = g.heads[d]
-            want = lam[a] - sigma.dart_coeff(d)
-            if lam[b] is None:
-                lam[b] = want
-                stack.append(b)
-            elif lam[b] != want:
-                raise SolverError("chain is not a potential difference, cannot recover a cut")
-    low = min(lam)
-    lam = [x - low + 1 for x in lam]
-    return [[v for v in range(g.n) if lam[v] >= level] for level in range(2, max(lam) + 1)]
-
-
-def recover_cut(g, sigma, f):
-    """The least level set of the chain's potential by `CutResult.sort_key`, scored by `score_cut`."""
-    return min((score_cut(g, S, f) for S in level_sets(g, sigma)), key=lambda r: r.sort_key)

@@ -100,12 +100,12 @@ def test_bench_pairs_summary_on_fixed_numbers():
 
 
 def test_bench_counters_repeat(tmp_path):
-    # two runs on two corpus files: the same counters, and --diff finds no drift
+    # two runs of 7 repeats each on two corpus files: the same counters, and
+    # --diff finds no drift
     outs = [tmp_path / "first.json", tmp_path / "second.json"]
     for out in outs:
         subprocess.run(
-            [sys.executable, str(SCRIPTS / "bench.py"), "--only", "corpus:k4", "corpus:k5_torus",
-             "--repeats", "2", "--out", str(out)],
+            [sys.executable, str(SCRIPTS / "bench.py"), "--only", "corpus:k4", "corpus:k5_torus", "--out", str(out)],
             capture_output=True, text=True, check=True,
         )
     first, second = (json.loads(out.read_text(encoding="utf-8")) for out in outs)

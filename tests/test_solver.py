@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import types
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -202,10 +201,8 @@ def test_combine_ties_go_to_the_smaller_chain_then_coefficients():
 
 def test_solve_evaluates_f_once_per_side_size(corpus_contexts, monkeypatch):
     # a solve evaluates f.ratio at a / n for each a <= n // 2 to fill its
-    # balance table, which U, the depth D and combine all read; recover_cut
-    # evaluates ratio once per level set of the chain's potential, at its
-    # size, and calls f once more for the returned cut, which evaluates
-    # ratio there
+    # balance table, which U, the depth D and combine all read, and score_cut
+    # calls f once more for the returned cut, which evaluates ratio there
     names = ["star5", "tree7", "apollonian12_del", "k5_torus", "grid33_torus", "series33_g2"]
     call, ratio = BalanceFunction.__call__, BalanceFunction.ratio
     calls = []
@@ -216,12 +213,9 @@ def test_solve_evaluates_f_once_per_side_size(corpus_contexts, monkeypatch):
         n = ctx.g.n
         for f in (quotient(), density(), CUSTOM):
             calls.clear()
-            det = ctx.solve_detailed(f)
-            x = Fraction(len(det.result.S), n)
+            x = Fraction(len(ctx.solve_detailed(f).result.S), n)
             table = [("ratio", a, n) for a in range(1, n // 2 + 1)]
-            levels = [("ratio", len(S), n) for S in solver_reference.level_sets(ctx.g, det.combine.sigma)]
-            winner = [("call", x), ("ratio", x.numerator, x.denominator)]
-            assert calls == [*table, *levels, *winner], (name, f.kind)
+            assert calls == [*table, ("call", x), ("ratio", x.numerator, x.denominator)], (name, f.kind)
 
 
 # genus-3 draws read at depth 2, name -> index in seeded_multigraphs(3, 8,
@@ -595,40 +589,3 @@ def test_fewest_cut_edges_matches_the_dart_scan(corpus_graphs, tmp_path):
         for r in range(g.n):
             w = build_weight(g, r)
             assert solver.fewest_cut_edges(g, w) == solver_reference.fewest_cut_edges(g, w), (name, r)
-
-
-def test_recover_cut_matches_the_level_scan(corpus_contexts):
-    for name, ctx in corpus_contexts.items():
-        for f in (quotient(), density(), make_balance("expansion"), CUSTOM):
-            det = ctx.solve_detailed(f)
-            assert det.result == solver_reference.recover_cut(ctx.g, det.combine.sigma, f), (name, f.kind)
-
-
-def test_recover_cut_breaks_ties_as_the_level_scan(corpus_graphs):
-    # chains summed from 2-3 cuts, nested or not, with multipliers 1-2 that
-    # can leave a potential value unused; ties at the best value, and at the
-    # best value and cut size, where the side decides, must both occur
-    rng = random.Random(33)
-    graphs = [*corpus_graphs.values(), *(random_planar(n, d, n) for n in (8, 10, 12) for d in (0, 3))]
-    ties = Counter()
-    for g in graphs:
-        for _ in range(12):
-            if rng.random() < 0.5:
-                order = rng.sample(range(g.n), g.n)
-                sides = [order[:size] for size in rng.sample(range(1, g.n), min(rng.randint(2, 3), g.n - 1))]
-            else:
-                sides = [rng.sample(range(g.n), rng.randint(1, g.n - 1)) for _ in range(rng.randint(2, 3))]
-            coeffs = [0] * g.m
-            for side in sides:
-                mult = rng.randint(1, 2)
-                coeffs = [a + mult * b for a, b in zip(coeffs, cut_chain(g, set(side)).coeffs)]
-            sigma = IntegerChain(tuple(coeffs))
-            if sigma.is_zero:
-                continue
-            for f in (quotient(), density(), CUSTOM):
-                got = recover_cut(g, sigma, f)
-                assert got == solver_reference.recover_cut(g, sigma, f), (g.n, g.m, coeffs, f.kind)
-                scored = {score_cut(g, S, f) for S in solver_reference.level_sets(g, sigma)}
-                ties["value"] += sum(r.value == got.value for r in scored) > 1
-                ties["side"] += sum((r.value, r.cut_size) == (got.value, got.cut_size) for r in scored) > 1
-    assert ties["value"] > ties["side"] > 0, ties
