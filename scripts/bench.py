@@ -1,7 +1,7 @@
 """Stage times and counters of surfcut solves over a fixed ladder of instances.
 
 Usage:
-    python3 scripts/bench.py [--src DIR] [--out FILE] [--only NAME ...]
+    python3 scripts/bench.py --out FILE [--src DIR] [--only NAME ...]
     python3 scripts/bench.py --diff PARENT.json CHANGE.json
 
 The ladder:
@@ -16,11 +16,12 @@ Each repeat times a fresh SolveContext stage by stage: faces+dual,
 weight+loops, U (the fewest cut edges per side size), then, summed over the
 instance's balance functions, the cover, combine and recover calls that
 `solve_detailed` makes, which the script wraps by name in the solver
-module.  The JSON written to --out (default BENCH_33.json in the
-repository root) holds, per instance, each stage's median over 7 repeats
-and the counters: D per solve, and summed over the instance's
-solves, the cover states, tags and combine candidates.  The counters must
-repeat exactly across the repeats, or the script stops with exit 1.
+module.  The JSON written to --out holds, per instance, each stage's
+median over 7 repeats and the counters: D per solve, and summed over the
+instance's solves, the cover states, tags and combine candidates.  The
+counters must repeat exactly across the repeats, or the script stops with
+exit 1.  --out has no default, so a run overwrites no file it was not
+given: without --out or --diff the script exits 2.
 --src loads surfcut from another checkout's `src`, so two checkouts run
 the same ladder; --only keeps the named instances (as listed in the JSON).
 --diff prints, per group of instances, the summed stage medians of two
@@ -185,9 +186,10 @@ def diff(parent_path: Path, change_path: Path) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="the src directory to load surfcut from")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_33.json")
     ap.add_argument("--only", nargs="+", metavar="NAME", help="keep only these instances")
-    ap.add_argument("--diff", nargs=2, type=Path, metavar=("PARENT", "CHANGE"))
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="the JSON file to write")
+    mode.add_argument("--diff", nargs=2, type=Path, metavar=("PARENT", "CHANGE"))
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*args.diff)

@@ -66,19 +66,14 @@ def run(cfg: argparse.Namespace) -> int:
         # read it at its own depth instead of running the cover a second time
         table = ctx.cover if cfg.dump_walks_path else None
         r = ctx.solve(f)
+        if table is not None:
+            Path(cfg.dump_walks_path).write_text(dump_walks(table), encoding="utf-8")
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SolverError as e:
         print(f"error: {cfg.input_path}: {e}", file=sys.stderr)
         return 4
-
-    if cfg.dump_walks_path:
-        try:
-            Path(cfg.dump_walks_path).write_text(dump_walks(table), encoding="utf-8")
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
 
     agree = report is not None and report.best.value == r.value
 

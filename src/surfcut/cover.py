@@ -107,13 +107,13 @@ class CoverResult:
     vector of a walk, in mixed radix, digits from the lowest: v_2g + D, ...,
     v_1 + D in the power-of-two radix R of tag_layout, then k + K, with D the
     depth cap and K = D (n - 1).  tag decodes q, and walks is the table
-    decoded, tag -> TaggedWalk, built on first read for the dump and the
-    tests; a solve never reads it.  A usable table (genus above 0 only)
-    keeps only the walks with length + max_j |v_j| <= D, the ones a sum of
-    at most D darts can use, each with the darts the full table has; a full
-    table keeps every tag.  states_per_start has one entry per start dart,
-    the states its run visited after the prunes (those it reached, expanded
-    or not).
+    decoded, tag -> TaggedWalk, built on first read; only the tests and
+    perfbench's counters read it, as the dump reads darts and tag.  A usable
+    table (genus above 0 only) keeps only the walks with length + max_j |v_j|
+    <= D, the ones a sum of at most D darts can use, each with the darts the
+    full table has; a full table keeps every tag.  states_per_start has one
+    entry per start dart, the states its run visited after the prunes (those
+    it reached, expanded or not).
 
     by_length is the index the combine step reads, built on first read and
     kept with the table object, so every solve that reads one table, at

@@ -13,7 +13,7 @@ or with a loop is a dot product of two chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from surfcut.embedding import EmbeddedGraph, FaceStructure
 
@@ -31,16 +31,14 @@ class IntegerChain:
     """An antisymmetric integer labelling of darts, one coefficient per edge.
 
     coeffs[i] is the value on dart 2i; dart 2i+1 carries -coeffs[i].
-    size, the total mass (the sum of absolute coefficients), is computed
-    once, when the chain is made.  Slots keep a chain to its two fields,
-    with no instance dict.
     """
 
     coeffs: tuple[int, ...]
-    size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "size", sum(map(abs, self.coeffs)))
+    @property
+    def size(self) -> int:
+        """The total mass, the sum of absolute coefficients."""
+        return sum(map(abs, self.coeffs))
 
     def dart_coeff(self, d: int) -> int:
         c = self.coeffs[d >> 1]

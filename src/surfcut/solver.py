@@ -24,9 +24,9 @@ adding ints; sums are coefficient tuples scored in integers, and only the
 winner becomes a Fraction and an IntegerChain.  The sorted list, its lookup
 and the walk coefficients do not depend on f, so each walk table holds
 them once, and the solves that read one table share them.
-The best chain becomes a vertex cut by thresholding a potential function,
-which can only improve the score.  The two values must agree at the
-optimum, and the cut must score no worse than U; the solver checks both.
+The best chain becomes a vertex cut by thresholding its potential, read
+down the weight tree, which can only improve the score.  The solver checks
+that both values agree at the optimum and that the cut scores at most U.
 """
 
 from __future__ import annotations
@@ -324,28 +324,25 @@ def combine_and_minimize(
     )
 
 
-def recover_cut(g: EmbeddedGraph, sigma: IntegerChain, f: BalanceFunction) -> CutResult:
+def recover_cut(g: EmbeddedGraph, w: WeightFunction, sigma: IntegerChain, f: BalanceFunction) -> CutResult:
     """Turn a primal chain that is a sum of cuts into its best threshold cut.
 
     The chain must satisfy coeff(a -> b) = lam(a) - lam(b) for a potential
-    lam, which is checked.  Level sets {lam >= i} then decompose the chain,
-    and the cheapest level is at most as expensive as the chain itself.
+    lam, read down the tree of the weight w (lam(v) = lam(parent) less the
+    parent dart's coefficient) and checked on every edge.  On a connected
+    graph lam is unique up to a constant, so the tree does not matter.
+    Level sets {lam >= i} then decompose the chain, and the cheapest level
+    is at most as expensive as the chain itself.
     """
     if sigma.is_zero:
         raise ValueError("cannot recover a cut from the zero chain")
-    lam = [None] * g.n
-    lam[0] = 0
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for d in g.out_darts[a]:
-            b = g.heads[d]
-            want = lam[a] - sigma.dart_coeff(d)
-            if lam[b] is None:
-                lam[b] = want
-                stack.append(b)
-            elif lam[b] != want:
-                raise SolverError("chain is not a potential difference, cannot recover a cut")
+    tails, heads = g.tails, g.heads
+    lam = [0] * g.n
+    for v in w.order[1:]:
+        d = w.parent_dart[v]
+        lam[v] = lam[tails[d]] - sigma.dart_coeff(d)
+    if any(c != lam[tails[2 * e]] - lam[heads[2 * e]] for e, c in enumerate(sigma.coeffs)):
+        raise SolverError("chain is not a potential difference, cannot recover a cut")
     low = min(lam)
     lam = [x - low + 1 for x in lam]
     top = max(lam)
@@ -381,8 +378,8 @@ class SolveContext:
     The dual, weights, loops, the fewest cut edges behind U and the walk
     table depend only on the graph and the root, so solving for several
     balance functions reuses them; the faces are traced for the dual and
-    not kept.  The weight holds the one BFS tree that the loops and the
-    subtree cuts behind U read.
+    not kept.  The weight holds the one BFS tree that the loops, the subtree
+    cuts behind U and the cut recovery read.
     The context keeps one walk table, the deepest it has built, and each
     solve reads it at its own depth, so all solves share its combine index.
     A solve deeper than the table builds a deeper usable one in its place,
@@ -448,7 +445,7 @@ class SolveContext:
                 raise SolverError("no null-homologous combination found; walk table is incomplete")
             if self.loops.theta(comb.sigma) != (0,) * (2 * self.genus):
                 raise SolverError("minimizer returned a chain with nonzero crossings")
-            cut = recover_cut(self.g, comb.sigma, f)
+            cut = recover_cut(self.g, self.weight, comb.sigma, f)
             if cut.value > bound:
                 raise SolverError("recovered cut scores worse than the upper bound U; walk table too shallow")
             if cut.value > comb.value:

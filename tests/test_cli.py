@@ -118,13 +118,15 @@ def test_nondefault_root(capsys):
         ("no_such_file.emb",),
         (str(CORPUS_DIR / "c4.emb"), "--f", "entropy"),
         (str(CORPUS_DIR / "c4.emb"), "--root", "9"),
+        (str(CORPUS_DIR / "c4.emb"), "--dump-walks", str(CORPUS_DIR / "no_such_dir" / "walks.txt")),
     ],
-    ids=["missing-file", "bad-balance", "bad-root"],
+    ids=["missing-file", "bad-balance", "bad-root", "unwritable-dump"],
 )
 def test_input_errors_exit_1(argv, capsys):
     assert run_cli(*argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_malformed_embedding_exits_1(tmp_path, capsys):

@@ -119,3 +119,8 @@ def test_bench_counters_repeat(tmp_path):
         [sys.executable, str(SCRIPTS / "bench.py"), "--diff", *map(str, outs)], capture_output=True, text=True
     )
     assert diff.returncode == 0 and "counters differ" not in diff.stdout
+    # --out has no default: a plain run is a usage error and writes nothing
+    committed = SCRIPTS.parent / "BENCH_33.json"
+    before = committed.read_bytes()
+    plain = subprocess.run([sys.executable, str(SCRIPTS / "bench.py")], capture_output=True, text=True)
+    assert plain.returncode == 2 and committed.read_bytes() == before

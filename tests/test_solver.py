@@ -281,7 +281,7 @@ def test_recover_cut_picks_cheapest_level():
     # path 0-1-2, chain = cut({0}) + cut({0,1}), potential levels 3,2,1
     g = from_cyclic_orders(3, [(0, 1), (1, 2)], [[0], [1, 2], [3]])
     sigma = IntegerChain(coeffs=(1, 1))
-    r = recover_cut(g, sigma, quotient())
+    r = recover_cut(g, build_weight(g), sigma, quotient())
     assert r.S == (0,)
     assert r.value == Fraction(3)
 
@@ -289,13 +289,13 @@ def test_recover_cut_picks_cheapest_level():
 def test_recover_cut_rejects_non_potential():
     g = from_cyclic_orders(3, [(0, 1), (1, 2), (2, 0)], [[0, 5], [1, 2], [3, 4]])
     with pytest.raises(SolverError, match="not a potential"):
-        recover_cut(g, IntegerChain(coeffs=(1, 0, 0)), quotient())
+        recover_cut(g, build_weight(g), IntegerChain(coeffs=(1, 0, 0)), quotient())
 
 
 def test_recover_cut_rejects_zero_chain(corpus_graphs):
     g = corpus_graphs["c4"]
     with pytest.raises(ValueError, match="zero chain"):
-        recover_cut(g, IntegerChain((0,) * g.m), quotient())
+        recover_cut(g, build_weight(g), IntegerChain((0,) * g.m), quotient())
 
 
 def test_chain_value_equals_cut_value(corpus_contexts):
