@@ -35,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, attrgetter
 
 from surfcut.balance import BalanceFunction
 from surfcut.cover import CoverResult, shortest_tagged_walks
@@ -299,10 +299,9 @@ def combine_and_minimize(
             size = sum(map(abs, coeffs))
             if size < length + elength:  # the walks cancel: such a sum may not win
                 continue
-            # size / f(a / n) = size * den / num, against top / bottom
+            # size / f(a / n) = size * den / num, against top / bottom; size is
+            # the length here, so the skip above already gave here <= there
             here, there = size * den * bottom, top * num
-            if here > there:
-                continue
             if here < there or (size, coeffs) < best[:2]:
                 top, bottom, best = size * den, num, (size, coeffs, picked + (i,))
                 limit = min(limit, top * peak_num // (bottom * peak_den))
@@ -331,8 +330,9 @@ def recover_cut(g: EmbeddedGraph, w: WeightFunction, sigma: IntegerChain, f: Bal
     lam, read down the tree of the weight w (lam(v) = lam(parent) less the
     parent dart's coefficient) and checked on every edge.  On a connected
     graph lam is unique up to a constant, so the tree does not matter.
-    Level sets {lam >= i} then decompose the chain, and the cheapest level
-    is at most as expensive as the chain itself.
+    The level sets {lam >= x}, one for each distinct value x of lam above
+    its least, then decompose the chain, and the cheapest level, the first
+    in ascending x on a tie, is at most as expensive as the chain itself.
     """
     if sigma.is_zero:
         raise ValueError("cannot recover a cut from the zero chain")
@@ -343,18 +343,9 @@ def recover_cut(g: EmbeddedGraph, w: WeightFunction, sigma: IntegerChain, f: Bal
         lam[v] = lam[tails[d]] - sigma.dart_coeff(d)
     if any(c != lam[tails[2 * e]] - lam[heads[2 * e]] for e, c in enumerate(sigma.coeffs)):
         raise SolverError("chain is not a potential difference, cannot recover a cut")
-    low = min(lam)
-    lam = [x - low + 1 for x in lam]
-    top = max(lam)
-    if top == 1:
-        raise SolverError("potential is constant for a nonzero chain")
-    best = None
-    for level in range(2, top + 1):
-        S = [v for v in range(g.n) if lam[v] >= level]
-        cand = score_cut(g, S, f)
-        if best is None or cand.sort_key < best.sort_key:
-            best = cand
-    return best
+    # a nonzero chain that passed the check differs across an edge, so lam takes two values or more
+    cuts = (score_cut(g, [v for v in range(g.n) if lam[v] >= x], f) for x in sorted(set(lam))[1:])
+    return min(cuts, key=attrgetter("sort_key"))
 
 
 @dataclass

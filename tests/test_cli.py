@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +17,8 @@ from surfcut.embedding import format_embedding, parse_embedding
 from surfcut.oracle import OracleReport
 from surfcut.solver import CutResult, SolveContext, SolverError
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_DIR = ROOT / "corpus"
 
 
 def run_cli(*argv):
@@ -40,6 +45,29 @@ def test_usage_error_exits_2(capsys):
         cli.parse_args(["--root", "x", "in.emb"])
     assert err.value.code == 2
     assert "surfcut: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout, stderr",
+    [
+        (
+            [str(CORPUS_DIR / "c4.emb")],
+            0,
+            "genus: 0\nf: quotient\nvalue: 4/1\ncut_size: 2\nbalance: 1/2\nexpansion: 1/1\nS: 0 3\n",
+            "",
+        ),
+        ([str(CORPUS_DIR / "missing.emb")], 1, "", r"error: [^\n]*missing\.emb'\n"),
+        ([], 2, "", r"usage: .*\nsurfcut: error: the following arguments are required: input\n"),
+    ],
+)
+def test_module_entry_point(args, code, stdout, stderr):
+    # runs cli.main through its __main__ guard, as `python -m surfcut.cli` does
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "surfcut.cli", *args], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert (run.returncode, run.stdout) == (code, stdout)
+    assert re.fullmatch(stderr, run.stderr, re.DOTALL), run.stderr
 
 
 def test_expansion_prints_identity_line(capsys):

@@ -138,21 +138,56 @@ def test_parse_rejects_bad_header():
 
 
 def test_parse_rejects_disconnected():
+    # two disjoint triangles: six edges pass the header bound of 6 vertices
     text = (
-        "vertices 4\nedge 0 1\nedge 2 3\n"
-        "rot 0: 0\nrot 1: 1\nrot 2: 2\nrot 3: 3\n"
+        "vertices 6\nedge 0 1\nedge 1 2\nedge 2 0\nedge 3 4\nedge 4 5\nedge 5 3\n"
+        "rot 0: 0 5\nrot 1: 1 2\nrot 2: 3 4\nrot 3: 6 11\nrot 4: 7 8\nrot 5: 9 10\n"
     )
-    with pytest.raises(EmbeddingError, match="connected"):
+    with pytest.raises(EmbeddingError, match="^graph is not connected$"):
         parse_embedding(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices 2\nedge\n", "bad edge line 'edge'"),
+        ("vertices 2\nedge 0\n", "bad edge line 'edge 0'"),
+        ("vertices 2\nedge 0 1 2\n", "bad edge line 'edge 0 1 2'"),
+        ("vertices 2\nedge 0 x\n", "bad edge line 'edge 0 x'"),
+        ("vertices 2\nedge 0 1\nrot 0: x\n", "bad rot line 'rot 0: x'"),
+        ("vertices 2\nedge 0 1\nrot 0:\n", "vertex 0 has an empty rotation"),
+    ],
+)
+def test_parse_rejects_malformed_lines(text, message):
+    with pytest.raises(EmbeddingError) as err:
+        parse_embedding(text)
+    assert str(err.value) == message
+
+
 def test_validation_rejects_split_orbit():
-    # vertex 0 has four darts but the rotation pairs them into two 2-cycles
-    tails = (0, 1, 0, 1, 0, 1, 0, 1)
-    heads = (1, 0, 1, 0, 1, 0, 1, 0)
-    rotation = (2, 3, 0, 1, 6, 7, 4, 5)
-    with pytest.raises(EmbeddingError, match="several cycles"):
-        EmbeddedGraph(n=2, tails=tails, heads=heads, rotation=rotation)
+    # (n, tails, heads, rotation, message): each field check of the constructor
+    table = [
+        # vertex 0 has four darts but the rotation pairs them into two 2-cycles
+        (
+            2,
+            (0, 1, 0, 1, 0, 1, 0, 1),
+            (1, 0, 1, 0, 1, 0, 1, 0),
+            (2, 3, 0, 1, 6, 7, 4, 5),
+            "rotation at vertex 0 splits into several cycles",
+        ),
+        (0, (0, 1), (1, 0), (0, 1), "graph needs at least one vertex"),
+        (1, (), (), (), "dart count must be positive and even"),
+        (2, (0,), (1,), (0,), "dart count must be positive and even"),
+        (2, (0, 1), (1, 0), (0,), "tails, heads and rotation must have equal length"),
+        (2, (0, 2), (2, 0), (0, 1), "dart 0 has an endpoint out of range"),
+        (3, (0, 1), (2, 0), (0, 1), "darts 0 and 1 disagree on their shared edge"),
+        (2, (0, 1), (1, 0), (0, 0), "rotation is not a permutation of the darts"),
+        (2, (0, 1), (1, 0), (1, 0), "rotation moves dart 0 to a different tail vertex"),
+    ]
+    for n, tails, heads, rotation, message in table:
+        with pytest.raises(EmbeddingError) as err:
+            EmbeddedGraph(n=n, tails=tails, heads=heads, rotation=rotation)
+        assert str(err.value) == message
 
 
 def test_genus_rejects_odd_characteristic():

@@ -56,7 +56,8 @@ def test_run_corpus_table():
     )
     lines = [line.rstrip() for line in run.stdout.splitlines()]
     assert "\n".join(lines[:-1]) + "\n" == RUN_CORPUS_TABLE
-    assert lines[-1].startswith("done: 35 instances in ") and run.stderr == ""
+    assert lines[-1].startswith("done: 35 instances in ") and lines[-1].endswith("(oracle checked)")
+    assert run.stderr == ""
 
 
 def test_corpus_outputs_on_two_files(tmp_path, monkeypatch, manifest):

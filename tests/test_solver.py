@@ -278,12 +278,21 @@ def test_planar_combinations_use_one_walk(name, corpus_contexts):
 
 
 def test_recover_cut_picks_cheapest_level():
-    # path 0-1-2, chain = cut({0}) + cut({0,1}), potential levels 3,2,1
+    # path 0-1-2; both levels of either chain score 3, and {0} wins the tie on S
     g = from_cyclic_orders(3, [(0, 1), (1, 2)], [[0], [1, 2], [3]])
-    sigma = IntegerChain(coeffs=(1, 1))
-    r = recover_cut(g, build_weight(g), sigma, quotient())
-    assert r.S == (0,)
-    assert r.value == Fraction(3)
+    # cut({0}) + cut({0,1}) has potential 0, -1, -2; 2 cut({0}) + cut({0,1})
+    # has 0, -2, -3, with a gap
+    for coeffs in ((1, 1), (2, 1)):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return quotient()(x)
+
+        r = recover_cut(g, build_weight(g), IntegerChain(coeffs=coeffs), f)
+        assert r.S == (0,)
+        assert r.value == Fraction(3)
+        assert len(calls) == 2, coeffs  # once per distinct level
 
 
 def test_recover_cut_rejects_non_potential():
